@@ -18,7 +18,6 @@
 #include "sim/datacenter.hpp"
 #include "sim/device.hpp"
 #include "sim/workload.hpp"
-#include "util/parallelism.hpp"
 #include "util/table.hpp"
 
 using namespace carbonedge;
@@ -93,13 +92,11 @@ void BM_PlacementApps(benchmark::State& state) {
 }
 BENCHMARK(BM_PlacementApps)->Arg(20)->Arg(60)->Arg(100)->Arg(140)->Unit(benchmark::kMillisecond);
 
-// Intra-simulation scaling: one big CDN cell (40 sites, heavy arrivals,
-// deferral + cost-aware re-optimization + failures — every sharded epoch
-// section engaged) run under worker budgets of 1/2/4/8 lanes. The
-// "carbon_g" counter must print identically on every row: lanes change
-// wall-clock only, never bytes. On a multicore host the 8-lane row is the
-// tentpole speedup measurement for a lone year-long cell.
-void BM_YearlongCellLanes(benchmark::State& state) {
+// Lone-cell cost: one big CDN cell (40 sites, heavy arrivals, deferral +
+// cost-aware re-optimization + failures — every epoch phase engaged), the
+// unit of work a sweep runs per lane. "carbon_g" is the deterministic
+// check that the row computed the same cell.
+void BM_YearlongCell(benchmark::State& state) {
   const geo::Region region = geo::cdn_region(geo::Continent::kNorthAmerica, 40);
   carbon::CarbonIntensityService service;
   service.add_region(region);
@@ -112,18 +109,15 @@ void BM_YearlongCellLanes(benchmark::State& state) {
   config.reoptimize_every = 64;
   config.migration.cost_aware = true;
   config.failures.mtbf_epochs = 2000.0;
-  util::ParallelismBudget budget(static_cast<std::size_t>(state.range(0)));
-  simulation.set_parallelism_budget(&budget);
   double carbon_g = 0.0;
   for (auto _ : state) {
     const core::SimulationResult result = simulation.run(config);
     carbon_g = result.telemetry.total_carbon_g();
     benchmark::DoNotOptimize(carbon_g);
   }
-  state.counters["lanes"] = static_cast<double>(state.range(0));
   state.counters["carbon_g"] = carbon_g;
 }
-BENCHMARK(BM_YearlongCellLanes)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_YearlongCell)->Unit(benchmark::kMillisecond);
 
 /// Tees every google-benchmark run into the --bench-json writer (name,
 /// iterations, adjusted real time, user counters) while still printing the

@@ -1,9 +1,10 @@
 # Determinism gate: the same workload must emit byte-identical tables no
-# matter how many worker lanes the process is given. Runs a multi-cell
-# scenario sweep and a single-cell simulation (all worker lanes on
-# intra-epoch sharding) under CARBONEDGE_THREADS=1 and =4 and fails on any
-# byte difference. Invoked by CTest (examples.cli_determinism_smoke) and by
-# the CI determinism-gate step.
+# matter how many worker lanes the process is given. Sweep cells are the one
+# parallel layer (each simulation runs serial on its lane), so the probes
+# cover a multi-cell sweep whose cells share lanes, a single cell, and a
+# serve replay, each under CARBONEDGE_THREADS=1 and =4; any byte difference
+# fails. Invoked by CTest (examples.cli_determinism_smoke) and by the CI
+# determinism-gate step.
 #
 #   cmake -DCLI=<carbonedge_cli> -DOUT_DIR=<scratch> -P determinism_smoke.cmake
 if(NOT DEFINED CLI OR NOT DEFINED OUT_DIR)
@@ -13,13 +14,11 @@ endif()
 file(MAKE_DIRECTORY ${OUT_DIR})
 
 # (label, argument list) probes: a grid wider than the budget (cells share
-# lanes) and a single big cell (one simulation leases every lane).
+# lanes) and a single big cell (one serial simulation, whatever the budget).
 set(PROBE_sweep "sweep;florida;128")
-# 40-site CDN region: big enough that the single cell passes the engine's
-# scale gate and really dispatches its epoch sections onto the shard pool.
-# --metrics= puts the obs registry under the gate too: the snapshot's
-# deterministic view is compared separately below (the timing view is
-# allowed — required, even — to differ).
+# 40-site CDN region. --metrics= puts the obs registry under the gate too:
+# the snapshot's deterministic view is compared separately below (the
+# timing view is allowed — required, even — to differ).
 set(PROBE_single "sweep;cdn_us;96;--single;--metrics=${OUT_DIR}/metrics-single-t@THREADS@.json")
 # Streaming serving mode: event-driven replay with windowed telemetry and an
 # EMA re-optimization trigger; --export=- puts the per-window CSV rows into

@@ -11,7 +11,6 @@
 #include "geo/sparse_latency.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "util/thread_pool.hpp"
 
 namespace carbonedge::core {
 
@@ -69,14 +68,6 @@ SimMetrics& sim_metrics() {
   return metrics;
 }
 
-/// Below this many items a sharded epoch section runs inline: the per-item
-/// work (a forecast scan, a server lookup) is microseconds, so dispatching
-/// a handful of items would cost more than it saves. The threshold depends
-/// only on the item count — never on thread count — so the inline and
-/// sharded paths are taken identically everywhere (and produce identical
-/// bytes either way; this is purely a dispatch-overhead gate).
-constexpr std::size_t kMinItemsPerShard = 32;
-
 /// Displaced-app sentinel: crash victims whose redeployment is not a
 /// data-movement migration.
 constexpr std::size_t kNoAccountedSite = static_cast<std::size_t>(-1);
@@ -86,80 +77,19 @@ constexpr std::size_t kNoAccountedSite = static_cast<std::size_t>(-1);
 SimulationEngine::SimulationEngine(sim::EdgeCluster cluster,
                                    const carbon::CarbonIntensityService& carbon,
                                    const geo::LatencyProvider& latency,
-                                   const SimulationConfig& config,
-                                   util::ParallelismBudget* budget, std::size_t lane_cap)
+                                   const SimulationConfig& config)
     : config_(config),
       cluster_(std::move(cluster)),
       carbon_(&carbon),
       latency_(&latency),
       service_(config.policy, config.solver_options),
       power_manager_(config.power),
-      failure_rng_(config.failures.seed),
-      failure_draws_(cluster_.size()) {
-  // Intra-run parallelism: lease worker lanes from the budget for the whole
-  // run and spin up a private shard pool when more than one was granted.
-  // Workers only ever execute pure per-item computations into disjoint
-  // slots; the stepping thread does every RNG draw, every reduction, and
-  // every state mutation, which is what keeps the result byte-identical
-  // for every lane count (see the class comment).
-  //
-  // Scale gate first: a run whose epoch sections can never reach the
-  // dispatch threshold skips the lease and pool outright, so small cells
-  // (most test scenarios, the narrow cells of a wide sweep) stay
-  // zero-overhead serial and leave their lanes to concurrent cells. The
-  // predicate reads only the config and cluster — never thread counts —
-  // so the execution shape is deterministic.
-  const double apps_per_site =
-      static_cast<double>(config_.workload.initial_per_site) +
-      config_.workload.arrivals_per_site * std::max(1.0, config_.workload.mean_lifetime_epochs);
-  const double steady_state_apps = apps_per_site * static_cast<double>(cluster_.size());
-  const bool may_shard = cluster_.size() >= 2 * kMinItemsPerShard ||
-                         steady_state_apps >= static_cast<double>(2 * kMinItemsPerShard);
-  util::ParallelismBudget& arbiter = budget != nullptr ? *budget : util::global_budget();
-  if (may_shard) {
-    const std::size_t want_lanes =
-        lane_cap > 0 ? std::min(lane_cap, arbiter.total()) : arbiter.total();
-    lease_ = arbiter.acquire(want_lanes);
-  }
-  lanes_ = lease_.lanes();
-  if (lanes_ > 1) shard_pool_ = std::make_unique<util::ThreadPool>(lanes_);
-
-  // Lend the run's shard pool to the placement solver: component dispatch
-  // reuses lanes this simulation already leased (they idle during the
-  // solve phase) instead of drawing the budget down further every epoch.
-  solver::AssignmentOptions solver_options = config_.solver_options;
-  if (shard_pool_ != nullptr && solver_options.shard_threads == 0 &&
-      solver_options.shard_pool == nullptr) {
-    solver_options.shard_pool = shard_pool_.get();
-  }
-  // Forward the (possibly injected) budget so a serial-capped run keeps
-  // the solver's default dispatch serial too, instead of it leasing from
-  // the process-global budget behind the injection's back.
-  if (solver_options.budget == nullptr) solver_options.budget = &arbiter;
-  service_ = PlacementService(config_.policy, solver_options);
-}
-
-SimulationEngine::~SimulationEngine() = default;
+      failure_rng_(config.failures.seed) {}
 
 carbon::HourIndex SimulationEngine::hour_of(std::uint32_t epoch) const noexcept {
   return static_cast<carbon::HourIndex>(
       config_.start_hour + static_cast<carbon::HourIndex>(std::floor(
                                static_cast<double>(epoch) * config_.epoch_hours)));
-}
-
-template <typename Body>
-void SimulationEngine::parallel_items(std::size_t count, const Body& body) {
-  // Run body(k) for k in [0, count), sharded across the leased lanes when
-  // the item count can amortize the dispatch. body(k) must write only to
-  // its own slot k. Generic so the (common) inline path pays no
-  // std::function indirection.
-  if (shard_pool_ == nullptr || count < 2 * kMinItemsPerShard) {
-    for (std::size_t k = 0; k < count; ++k) body(k);
-    return;
-  }
-  const std::size_t shards =
-      std::max<std::size_t>(1, std::min(lanes_, count / kMinItemsPerShard));
-  util::parallel_for(*shard_pool_, 0, count, body, (count + shards - 1) / shards);
 }
 
 sim::EdgeServer& SimulationEngine::find_server(std::size_t site, std::uint32_t server_id) {
@@ -172,7 +102,7 @@ sim::EdgeServer& SimulationEngine::find_server(std::size_t site, std::uint32_t s
 void SimulationEngine::snapshot_hosted() {
   hosted_snapshot_.clear();
   hosted_snapshot_.reserve(hosted_.size());
-  // lint: unordered-iteration-ok(this IS the serial snapshot: all hosted_ mutations happen on the stepping thread, so bucket order is a pure function of the deterministic insert/erase history — identical for every lane count)
+  // lint: unordered-iteration-ok(this IS the serial snapshot: bucket order is a pure function of the deterministic insert/erase history)
   for (const auto& [id, entry] : hosted_) hosted_snapshot_.emplace_back(id, &entry);
 }
 
@@ -182,7 +112,7 @@ void SimulationEngine::crash_server(std::size_t site, sim::EdgeServer& server,
   // Re-batch the apps that were on the crashed server. Marking them
   // displaced keeps them alive (retried, never counted as fresh
   // rejections) if the shrunken cluster cannot re-place them at once.
-  // lint: unordered-iteration-ok(coordinator-only erase walk; bucket order determines batch order, which is itself a deterministic function of the insert/erase history — no fp accumulation here)
+  // lint: unordered-iteration-ok(erase walk; bucket order determines batch order, which is itself a deterministic function of the insert/erase history — no fp accumulation here)
   for (auto it = hosted_.begin(); it != hosted_.end();) {
     if (it->second.site == site && it->second.server == server.id()) {
       displaced_from_.insert_or_assign(it->first, kNoAccountedSite);
@@ -259,36 +189,16 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
     crash_server(event.site, server, epoch, batch, epoch_failures);
   }
   if (config_.failures.mtbf_epochs > 0.0) {
+    // One Bernoulli per eligible (powered-on, healthy) server, drawn in
+    // site/server order; a crash marks only its own server failed, so it
+    // never changes which later servers draw.
     const double fail_p = 1.0 / config_.failures.mtbf_epochs;
-    // Pre-draw the epoch's failure streams into per-site buffers, one
-    // Bernoulli per eligible (powered-on, healthy) server in site/server
-    // order — exactly the serial engine's consumption. Materializing the
-    // draws up front decouples them from however the sharded sections
-    // interleave later: draw order can never depend on thread count.
-    // Eligibility is stable across this pass (marking one server failed
-    // never changes another's power or failure state), so the application
-    // loop below replays the same predicate to index the stream.
     for (std::size_t site = 0; site < cluster_.size(); ++site) {
-      std::vector<std::uint8_t>& draws = failure_draws_[site];
-      draws.clear();
-      for (const sim::EdgeServer& server : cluster_.sites()[site].servers()) {
-        if (!server.powered_on() || server.failed()) continue;
-        draws.push_back(failure_rng_.bernoulli(fail_p) ? 1 : 0);
-      }
-    }
-    for (std::size_t site = 0; site < cluster_.size(); ++site) {
-      std::size_t draw_index = 0;
       for (sim::EdgeServer& server : cluster_.sites()[site].servers()) {
         if (!server.powered_on() || server.failed()) continue;
-        if (draw_index >= failure_draws_[site].size()) {
-          // The eligibility predicate diverged between the draw pass and
-          // this replay (a failure side effect must have changed another
-          // server's power/failure state) — that desynchronizes the
-          // stream, so fail loudly rather than consume wrong draws.
-          throw std::logic_error("failure stream desynchronized from eligibility replay");
+        if (failure_rng_.bernoulli(fail_p)) {
+          crash_server(site, server, epoch, batch, epoch_failures);
         }
-        if (!failure_draws_[site][draw_index++]) continue;
-        crash_server(site, server, epoch, batch, epoch_failures);
       }
     }
   }
@@ -296,7 +206,7 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
   // 2. Departures. Guarded decrement: an application admitted with
   // remaining_epochs == 0 departs immediately instead of underflowing to
   // ~4B epochs and becoming immortal.
-  // lint: unordered-iteration-ok(coordinator-only erase walk over deterministic bucket order; evictions commute and nothing is accumulated in fp)
+  // lint: unordered-iteration-ok(erase walk over deterministic bucket order; evictions commute and nothing is accumulated in fp)
   for (auto it = hosted_.begin(); it != hosted_.end();) {
     if (it->second.app.remaining_epochs <= 1) {
       find_server(it->second.site, it->second.server).evict(it->first);
@@ -320,37 +230,29 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
   // Release deferred applications at low-intensity hours: start when the
   // origin zone's current intensity is no worse than anything the
   // remaining defer budget could buy (the "wait awhile" heuristic), or
-  // when the budget runs out. The per-app forecast scans are the epoch's
-  // heaviest pure reads (a window of forecaster evaluations each), so
-  // they shard across lanes into per-app slots; the queue itself is then
-  // updated serially in queue order.
-  defer_start_.assign(deferred_.size(), 0);
-  parallel_items(deferred_.size(), [&](std::size_t k) {
-    const sim::Application& app = deferred_[k];
-    bool start = app.max_defer_epochs == 0;
-    if (!start) {
-      const std::string& zone = cluster_.sites()[app.origin_site].zone();
-      const double now_ci = carbon_->intensity(zone, hour);
-      const auto window = static_cast<std::uint32_t>(
-          std::ceil(static_cast<double>(app.max_defer_epochs) * config_.epoch_hours));
-      double future_min = now_ci;
-      for (const double v : carbon_->forecast(zone, hour + 1, window)) {
-        future_min = std::min(future_min, v);
-      }
-      start = now_ci <= future_min * 1.02;
-    }
-    defer_start_[k] = start ? 1 : 0;
-  });
+  // when the budget runs out. Starters join the batch, the rest spend one
+  // epoch of budget; the stable in-place compaction keeps queue order.
   {
-    // Starters join the batch, the rest spend one epoch of budget; the
-    // stable in-place compaction preserves the old erase-as-you-go order.
     std::size_t keep = 0;
     for (std::size_t k = 0; k < deferred_.size(); ++k) {
-      if (defer_start_[k]) {
-        batch.push_back(std::move(deferred_[k]));
+      sim::Application& app = deferred_[k];
+      bool start = app.max_defer_epochs == 0;
+      if (!start) {
+        const std::string& zone = cluster_.sites()[app.origin_site].zone();
+        const double now_ci = carbon_->intensity(zone, hour);
+        const auto window = static_cast<std::uint32_t>(
+            std::ceil(static_cast<double>(app.max_defer_epochs) * config_.epoch_hours));
+        double future_min = now_ci;
+        for (const double v : carbon_->forecast(zone, hour + 1, window)) {
+          future_min = std::min(future_min, v);
+        }
+        start = now_ci <= future_min * 1.02;
+      }
+      if (start) {
+        batch.push_back(std::move(app));
       } else {
-        --deferred_[k].max_defer_epochs;
-        if (keep != k) deferred_[keep] = std::move(deferred_[k]);
+        --app.max_defer_epochs;
+        if (keep != k) deferred_[keep] = std::move(app);
         ++keep;
       }
     }
@@ -381,14 +283,11 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
     std::vector<sim::AppId> to_move;
     snapshot_hosted();
     if (config_.migration.cost_aware) {
-      // Veto moves whose projected benefit cannot repay the transfer.
-      // Each app's veto scans every feasible server — the quadratic bulk
-      // of a re-optimization epoch — so the scans shard across lanes;
-      // the verdicts are then folded in snapshot order, preserving the
-      // serial engine's to_move order (and thus the solver's input).
-      migration_veto_.assign(hosted_snapshot_.size(), 0);
-      parallel_items(hosted_snapshot_.size(), [&](std::size_t k) {
-        const HostedApp& entry = *hosted_snapshot_[k].second;
+      // Veto moves whose projected benefit cannot repay the transfer,
+      // scanning in snapshot order (which fixes to_move's order, and thus
+      // the solver's input).
+      for (const auto& [id, hosted] : hosted_snapshot_) {
+        const HostedApp& entry = *hosted;
         const sim::EdgeServer& current = find_server(entry.site, entry.server);
         const std::string& zone = cluster_.sites()[entry.site].zone();
         const double current_rate = carbon_rate_g(entry.app, current, zone);
@@ -415,13 +314,10 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
                                                  entry.app.remaining_epochs);
         const double benefit = (current_rate - best_rate) * lifetime;
         const auto [move_energy, move_carbon] = migration_cost(entry.app, zone);
-        migration_veto_[k] = benefit < move_carbon * config_.migration.hysteresis ? 1 : 0;
-      });
-      for (std::size_t k = 0; k < hosted_snapshot_.size(); ++k) {
-        if (migration_veto_[k]) {
+        if (benefit < move_carbon * config_.migration.hysteresis) {
           ++result_.migrations_skipped;
         } else {
-          to_move.push_back(hosted_snapshot_[k].first);
+          to_move.push_back(id);
         }
       }
     } else {
@@ -445,7 +341,6 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
   input.forecast_horizon_hours = config_.forecast_horizon_hours;
   input.epoch_hours = config_.epoch_hours;
   const PlacementResult placement = service_.place(input, batch);
-  result_.total_solve_ms += placement.solve_time_ms;
   orchestrator_.deploy(placement);
 
   std::unordered_map<sim::AppId, const sim::Application*> by_id;
@@ -573,28 +468,25 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
   record.migration_carbon_g = epoch_migration_carbon;
   record.migrations = epoch_migrations;
   record.failures = epoch_failures;
-  // Per-site records are pure functions of (site, zone intensity) into
-  // disjoint slots; per-app latency samples are computed shard-parallel
-  // into per-app slots and folded into the epoch sums and the response
-  // histogram in snapshot order — the same floating-point order as the
-  // serial engine, for every lane count.
-  record.sites.resize(cluster_.size());
-  parallel_items(cluster_.size(), [&](std::size_t s) {
-    const sim::EdgeDataCenter& site = cluster_.sites()[s];
-    record.sites[s] = sim::make_site_epoch_record(site, carbon_->intensity(site.zone(), hour),
-                                                  config_.epoch_hours,
-                                                  config_.account_base_power);
-  });
+  record.sites.reserve(cluster_.size());
+  for (const sim::EdgeDataCenter& site : cluster_.sites()) {
+    record.sites.push_back(sim::make_site_epoch_record(
+        site, carbon_->intensity(site.zone(), hour), config_.epoch_hours,
+        config_.account_base_power));
+  }
+  // Request-weighted latency sums and the response histogram, folded in
+  // snapshot order so the floating-point sums are reproducible.
   snapshot_hosted();
-  app_samples_.resize(hosted_snapshot_.size());
-  parallel_items(hosted_snapshot_.size(), [&](std::size_t k) {
-    const HostedApp& entry = *hosted_snapshot_[k].second;
+  for (const auto& [id, hosted] : hosted_snapshot_) {
+    const HostedApp& entry = *hosted;
     const double rtt = 2.0 * latency_->one_way_ms(entry.app.origin_site, entry.site);
-    const sim::EdgeServer& server = find_server(entry.site, entry.server);
-    app_samples_[k] = sim::AppEpochSample{rtt, rtt + server.mean_service_ms(entry.app.model),
-                                          entry.app.rps};
-  });
-  result_.telemetry.fold_app_samples(record, app_samples_);
+    const double response =
+        rtt + find_server(entry.site, entry.server).mean_service_ms(entry.app.model);
+    record.rtt_weighted_sum_ms += rtt * entry.app.rps;
+    record.response_weighted_sum_ms += response * entry.app.rps;
+    record.rps_total += entry.app.rps;
+    result_.telemetry.add_response_sample(response, entry.app.rps);
+  }
   result_.telemetry.record(std::move(record));
 
   // 6. Power management between epochs.
@@ -615,8 +507,6 @@ SimulationResult SimulationEngine::finish() {
     if (!displaced_from_.contains(app.id)) ++result_.apps_expired_deferred;
   }
 
-  result_.mean_solve_ms =
-      config_.epochs > 0 ? result_.total_solve_ms / static_cast<double>(config_.epochs) : 0.0;
   result_.mean_deploy_ms = orchestrator_.mean_deploy_ms();
 
   // Mirror the run's counters into the process registry (integer sums over
@@ -659,7 +549,7 @@ EdgeSimulation::EdgeSimulation(sim::EdgeCluster cluster,
 SimulationResult EdgeSimulation::run(const SimulationConfig& config) {
   // Fresh state per run: the engine starts from a pristine cluster copy and
   // the workload stream depends only on the config seed.
-  SimulationEngine engine(pristine_, *carbon_, *latency_, config, budget_, lane_cap_);
+  SimulationEngine engine(pristine_, *carbon_, *latency_, config);
   sim::WorkloadGenerator generator(config.workload, engine.cluster());
   for (std::uint32_t epoch = 0; epoch < config.epochs; ++epoch) {
     engine.step(generator.arrivals(epoch));

@@ -22,12 +22,7 @@
 #include "sim/telemetry.hpp"
 #include "sim/workload.hpp"
 #include "solver/assignment.hpp"
-#include "util/parallelism.hpp"
 #include "util/random.hpp"
-
-namespace carbonedge::util {
-class ThreadPool;
-}
 
 namespace carbonedge::core {
 
@@ -86,8 +81,9 @@ struct SimulationConfig {
 
 struct SimulationResult {
   sim::Telemetry telemetry;
-  double total_solve_ms = 0.0;
-  double mean_solve_ms = 0.0;
+  /// Modeled (seeded) deployment latency per placement — deterministic, not
+  /// a wall-clock reading. Measured decision time lives in the obs timing
+  /// view (span.core.place.*).
   double mean_deploy_ms = 0.0;
   std::uint64_t apps_placed = 0;
   std::uint64_t apps_rejected = 0;
@@ -129,17 +125,16 @@ struct ServerFailureEvent {
 /// the serve replay oracle exact: an epoch-aligned replay of the same
 /// arrival stream reproduces the batch counters bit for bit.
 ///
-/// Threading matches EdgeSimulation::run (see its class comment): the
-/// engine leases lanes at construction and shards pure per-item work, all
-/// RNG draws and state mutation on the stepping thread.
+/// Threading: an engine is single-threaded. Every epoch phase runs in
+/// sequence on the calling thread, as in the paper's simulator; scale comes
+/// from running many engines at once (ScenarioRunner's cell pool), each
+/// owning its own state.
 class SimulationEngine {
  public:
   /// `cluster` is the initial state (a pristine copy, never shared).
   /// `latency` and `carbon` must outlive the engine.
   SimulationEngine(sim::EdgeCluster cluster, const carbon::CarbonIntensityService& carbon,
-                   const geo::LatencyProvider& latency, const SimulationConfig& config,
-                   util::ParallelismBudget* budget = nullptr, std::size_t lane_cap = 0);
-  ~SimulationEngine();
+                   const geo::LatencyProvider& latency, const SimulationConfig& config);
   SimulationEngine(const SimulationEngine&) = delete;
   SimulationEngine& operator=(const SimulationEngine&) = delete;
 
@@ -168,8 +163,8 @@ class SimulationEngine {
   /// response-histogram sink here; never needed by the batch driver).
   [[nodiscard]] sim::Telemetry& telemetry() noexcept { return result_.telemetry; }
 
-  /// Final accounting (expired-deferred reconciliation, solve/deploy
-  /// means). The engine is spent afterwards — step() must not be called.
+  /// Final accounting (expired-deferred reconciliation, deploy mean). The
+  /// engine is spent afterwards — step() must not be called.
   [[nodiscard]] SimulationResult finish();
 
  private:
@@ -179,8 +174,6 @@ class SimulationEngine {
     std::uint32_t server = 0;
   };
 
-  template <typename Body>
-  void parallel_items(std::size_t count, const Body& body);
   [[nodiscard]] sim::EdgeServer& find_server(std::size_t site, std::uint32_t server_id);
   /// Crash one server: displace its apps into `batch`, mark it failed, and
   /// schedule the repair. Shared by drawn and injected failures.
@@ -192,9 +185,6 @@ class SimulationEngine {
   sim::EdgeCluster cluster_;
   const carbon::CarbonIntensityService* carbon_;
   const geo::LatencyProvider* latency_;
-  util::ParallelismBudget::Lease lease_;
-  std::size_t lanes_ = 1;
-  std::unique_ptr<util::ThreadPool> shard_pool_;
   PlacementService service_;
   PowerManager power_manager_;
   Orchestrator orchestrator_;
@@ -216,31 +206,22 @@ class SimulationEngine {
   // victims, whose redeployment is not a data-movement migration.
   std::unordered_map<sim::AppId, std::size_t> displaced_from_;
 
-  // Reused shard buffers (allocated once, cleared per epoch). The hosted
-  // snapshot materializes the map's iteration order — identical for every
-  // lane count because all map mutations happen on the stepping thread —
-  // so sharded per-app work can index it and serial folds can replay it.
+  // The hosted map's iteration order, materialized (reused buffer, refilled
+  // per use). Bucket order is a pure function of the deterministic
+  // insert/erase history, and walking this snapshot instead of the map
+  // keeps order-sensitive folds and evict-while-scanning loops off the
+  // unordered container itself.
   std::vector<std::pair<sim::AppId, const HostedApp*>> hosted_snapshot_;
-  std::vector<std::vector<std::uint8_t>> failure_draws_;
-  std::vector<std::uint8_t> defer_start_;
-  std::vector<std::uint8_t> migration_veto_;
-  std::vector<sim::AppEpochSample> app_samples_;
 };
 
 /// Owns a pristine cluster copy; every run() starts from that state, so the
 /// same simulation object can evaluate multiple policies on identical
 /// workloads (the workload stream depends only on the config seed).
 ///
-/// Threading: run() shards the embarrassingly parallel per-site work of
-/// every epoch — failure-stream sampling, deferral forecast evaluation,
-/// the cost-aware migration scan, per-server energy/carbon accounting, and
-/// telemetry accumulation — across worker lanes leased from the process
-/// ParallelismBudget (CARBONEDGE_THREADS), and lends those lanes to the
-/// placement solver's component dispatch. Every sharded section computes
-/// pure per-item values into disjoint slots and reduces them serially in a
-/// fixed order, with all RNG draws and state mutation on the coordinating
-/// thread, so a run's result is byte-identical for every thread count —
-/// including the fully serial engine.
+/// Threading: run() is serial — one SimulationEngine stepped on the calling
+/// thread. Distinct EdgeSimulation objects may run on different threads;
+/// that is how ScenarioRunner parallelizes a sweep. A run's result depends
+/// only on its config, never on CARBONEDGE_THREADS.
 class EdgeSimulation {
  public:
   /// `latency_band_one_way_ms == 0` builds the dense LatencyMatrix over the
@@ -255,15 +236,6 @@ class EdgeSimulation {
 
   [[nodiscard]] SimulationResult run(const SimulationConfig& config);
 
-  /// Lease intra-run worker lanes from `budget` instead of the process-wide
-  /// util::global_budget() (test injection; nullptr restores the default).
-  void set_parallelism_budget(util::ParallelismBudget* budget) noexcept { budget_ = budget; }
-  /// Cap the lanes one run() may lease (0 = whatever the budget can give).
-  /// ScenarioRunner sets this to the budget's fair per-cell share so a
-  /// narrow grid splits leftover workers across cells instead of letting
-  /// the first cell monopolize them.
-  void set_lane_cap(std::size_t lanes) noexcept { lane_cap_ = lanes; }
-
   [[nodiscard]] const geo::LatencyProvider& latency() const noexcept { return *latency_; }
   [[nodiscard]] const sim::EdgeCluster& pristine_cluster() const noexcept { return pristine_; }
   [[nodiscard]] const carbon::CarbonIntensityService& carbon_service() const noexcept {
@@ -271,17 +243,9 @@ class EdgeSimulation {
   }
 
  private:
-  struct HostedApp {
-    sim::Application app;
-    std::size_t site = 0;
-    std::uint32_t server = 0;
-  };
-
   sim::EdgeCluster pristine_;
   const carbon::CarbonIntensityService* carbon_;
   std::unique_ptr<const geo::LatencyProvider> latency_;
-  util::ParallelismBudget* budget_ = nullptr;  // nullptr = util::global_budget()
-  std::size_t lane_cap_ = 0;
 };
 
 /// Convenience: run one config for each policy on identical workloads and

@@ -115,20 +115,13 @@ std::vector<ScenarioOutcome> ScenarioRunner::run(std::vector<Scenario> scenarios
     cell_services[i] = slot.get();
   }
 
-  // Cells lease their workers from the process budget: the sweep takes one
-  // lane per concurrently running cell, and whatever is left flows to the
-  // cells themselves as intra-simulation shard lanes (set_lane_cap gives
-  // each cell an even share, so a grid narrower than the machine still
-  // uses every configured worker instead of idling the leftover).
-  util::ParallelismBudget& budget =
-      options_.budget != nullptr ? *options_.budget : util::global_budget();
-  std::size_t cell_lane_cap = 1;
+  // Cells lease their workers from the process budget, one lane per
+  // concurrently running cell; each cell's simulation runs serial on its
+  // lane.
   const auto body = [&](std::size_t p) {
     const std::size_t i = pending[p];
     core::EdgeSimulation simulation(build_cluster(scenarios[i]), *cell_services[i],
                                     geo::LatencyModel{}, scenarios[i].latency_band_ms);
-    simulation.set_parallelism_budget(options_.budget);
-    simulation.set_lane_cap(cell_lane_cap);
     slots[i] = simulation.run(scenarios[i].config);
     // Publish as soon as the cell completes (atomic rename), so a killed
     // sweep loses at most the cells still in flight.
@@ -136,23 +129,15 @@ std::vector<ScenarioOutcome> ScenarioRunner::run(std::vector<Scenario> scenarios
       options_.sweep_store->save(scenarios[i], slots[i]);
     }
   };
-  if (options_.threads != 0) {
-    // Explicit worker count: the caller's choice wins, but the lanes are
-    // still leased so the nested layers below see them as spent.
-    const util::ParallelismBudget::Lease lease = budget.acquire(options_.threads);
-    cell_lane_cap = std::max<std::size_t>(1, budget.total() / options_.threads);
-    util::ThreadPool pool(options_.threads);
-    util::parallel_for(pool, 0, pending.size(), body, /*chunk=*/1);
+  const std::size_t want = options_.threads != 0 ? options_.threads : pending.size();
+  const util::ParallelismBudget::Lease lease = util::global_budget().acquire(want);
+  // An explicit worker count wins over what the lease grants.
+  const std::size_t workers = options_.threads != 0 ? options_.threads : lease.lanes();
+  if (workers <= 1) {
+    for (std::size_t p = 0; p < pending.size(); ++p) body(p);
   } else {
-    const util::ParallelismBudget::Lease lease = budget.acquire(pending.size());
-    const std::size_t cell_lanes = lease.lanes();
-    cell_lane_cap = std::max<std::size_t>(1, budget.total() / cell_lanes);
-    if (cell_lanes <= 1) {
-      for (std::size_t p = 0; p < pending.size(); ++p) body(p);
-    } else {
-      util::ThreadPool pool(cell_lanes);
-      util::parallel_for(pool, 0, pending.size(), body, /*chunk=*/1);
-    }
+    util::ThreadPool pool(workers);
+    util::parallel_for(pool, 0, pending.size(), body, /*chunk=*/1);
   }
 
   std::vector<ScenarioOutcome> outcomes;

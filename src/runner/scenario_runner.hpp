@@ -1,12 +1,13 @@
-// Parallel scenario-sweep runner.
+// Parallel scenario-sweep runner — the project's one parallel layer.
 //
 // Expands a ScenarioGrid and dispatches one EdgeSimulation::run per cell
-// onto a util::ThreadPool. Every task writes into its own pre-sized result
-// slot (no locks, no shared mutable state: each cell builds its own cluster
-// and simulation; carbon services are synthesized once per distinct region
-// before dispatch and only read concurrently), so the aggregate is
-// bit-identical no matter how many workers execute it — run(grid) with one
-// thread and with N threads produce equal tables.
+// onto a util::ThreadPool; each run is serial on its lane. Every task
+// writes into its own pre-sized result slot (no locks, no shared mutable
+// state: each cell builds its own cluster and simulation; carbon services
+// are synthesized once per distinct region before dispatch and only read
+// concurrently), so the aggregate is bit-identical no matter how many
+// workers execute it — run(grid) with one thread and with N threads produce
+// equal tables.
 #pragma once
 
 #include <cstddef>
@@ -16,13 +17,8 @@
 
 #include "core/simulation.hpp"
 #include "runner/scenario_grid.hpp"
-#include "util/parallelism.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-
-namespace carbonedge::util {
-class ParallelismBudget;
-}
 
 namespace carbonedge::runner {
 
@@ -63,13 +59,9 @@ class CellCache {
 struct ScenarioRunnerOptions {
   /// Worker threads for the sweep. 0 (the default) leases one lane per
   /// concurrently running cell from the process worker budget
-  /// (util::ParallelismBudget, CARBONEDGE_THREADS) and hands each cell an
-  /// even share of the leftover as intra-simulation shard lanes; a nonzero
-  /// value forces exactly that many cell workers.
+  /// (util::global_budget(), sized by CARBONEDGE_THREADS); a nonzero value
+  /// forces exactly that many cell workers.
   std::size_t threads = 0;
-  /// Budget to lease from instead of util::global_budget() (test
-  /// injection; also forwarded to every cell's EdgeSimulation).
-  util::ParallelismBudget* budget = nullptr;
   /// Persistent sweep-cell cache (store::SweepStore, via the CellCache
   /// seam). When set, cells already in the cache are loaded instead of
   /// re-simulated (their carbon services are not even built) and freshly

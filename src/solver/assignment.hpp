@@ -28,11 +28,6 @@
 #include "solver/lp.hpp"
 #include "solver/milp.hpp"
 
-namespace carbonedge::util {
-class ParallelismBudget;
-class ThreadPool;
-}
-
 namespace carbonedge::solver {
 
 inline constexpr std::size_t kUnassigned = static_cast<std::size_t>(-1);
@@ -152,22 +147,6 @@ struct AssignmentOptions {
   /// paths. Unit-slot instances always stay monolithic: min-cost flow is
   /// already exact and near-linear, so sharding them buys nothing.
   bool shard = true;
-  /// Worker threads for component dispatch. The result is bit-identical for
-  /// every thread count. 0 defers to `shard_pool` when set, and otherwise
-  /// to the process worker budget (util::ParallelismBudget — components run
-  /// on leased lanes, inline when the budget is spent).
-  std::size_t shard_threads = 0;
-  /// Borrowed pool for component dispatch (non-owning; only read when
-  /// shard_threads == 0). EdgeSimulation lends its per-run shard pool here
-  /// so the placement solve reuses lanes the simulation already leased
-  /// instead of drawing the budget down further every epoch.
-  util::ThreadPool* shard_pool = nullptr;
-  /// Budget the default dispatch path leases from when no pool was lent
-  /// (non-owning; nullptr = util::global_budget()). EdgeSimulation forwards
-  /// its injected budget here so a 1-lane budget keeps the solver serial
-  /// too. Like shard_pool/shard_threads, an execution vehicle — never part
-  /// of a result fingerprint.
-  util::ParallelismBudget* budget = nullptr;
 };
 
 [[nodiscard]] AssignmentSolution solve_exact(const AssignmentProblem& problem,

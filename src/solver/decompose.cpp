@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "util/parallelism.hpp"
-#include "util/thread_pool.hpp"
-
 namespace carbonedge::solver {
 
 namespace {
@@ -107,55 +104,18 @@ AssignmentSolution solve_sharded(const AssignmentProblem& problem,
     return solve_unsharded(problem, options);
   }
 
-  // One pre-sized slot per component; each task extracts and solves its own
-  // component (pure, index-disjoint), so the stitched result is bit-identical
-  // no matter how many workers execute the loop.
-  std::vector<AssignmentSolution> slots(components.size());
-  const auto body = [&](std::size_t c) {
-    const Component& component = components[c];
-    if (component.servers.empty()) return;  // unplaceable app(s); stay kUnassigned
-    slots[c] = solve_unsharded(extract_component(problem, component), options);
-  };
-  if (components.size() == 1) {
-    // A lone (sub-spanning) component gains nothing from dispatch; skip the
-    // pool round trip that every re-optimization epoch would otherwise pay.
-    body(0);
-  } else if (options.shard_threads != 0) {
-    util::ThreadPool pool(options.shard_threads);
-    util::parallel_for(pool, 0, components.size(), body, /*chunk=*/1);
-  } else if (options.shard_pool != nullptr) {
-    // Lanes the caller already leased (EdgeSimulation's per-run shard
-    // pool, idle during the solve phase) — no extra budget draw.
-    util::parallel_for(*options.shard_pool, 0, components.size(), body, /*chunk=*/1);
-  } else {
-    // Top-level solve: lease lanes from the (injectable) budget so nested
-    // runner x simulation x solver load stays within CARBONEDGE_THREADS,
-    // and run on the cached process pool — chunked down to the lease, so
-    // concurrency honors the lanes without per-call pool construction
-    // (this path runs on every re-optimization epoch of a serial-capped
-    // simulation).
-    util::ParallelismBudget& budget =
-        options.budget != nullptr ? *options.budget : util::global_budget();
-    const util::ParallelismBudget::Lease lease = budget.acquire(components.size());
-    if (lease.lanes() <= 1) {
-      for (std::size_t c = 0; c < components.size(); ++c) body(c);
-    } else {
-      const std::size_t chunk = (components.size() + lease.lanes() - 1) / lease.lanes();
-      util::parallel_for(util::global_pool(), 0, components.size(), body, chunk);
-    }
-  }
-
   std::vector<std::size_t> assignment(problem.num_apps(), kUnassigned);
   SolveStats stats;
   stats.components = components.size();
-  for (std::size_t c = 0; c < components.size(); ++c) {
-    const Component& component = components[c];
+  for (const Component& component : components) {
     stats.largest_shard_apps = std::max(stats.largest_shard_apps, component.apps.size());
     if (component.servers.empty()) {
+      // Unplaceable app(s): they stay kUnassigned.
       stats.unplaceable_apps += component.apps.size();
       continue;
     }
-    const AssignmentSolution& sub = slots[c];
+    const AssignmentSolution sub =
+        solve_unsharded(extract_component(problem, component), options);
     for (std::size_t k = 0; k < component.apps.size(); ++k) {
       const std::size_t jj = sub.assignment[k];
       if (jj != kUnassigned) assignment[component.apps[k]] = component.servers[jj];

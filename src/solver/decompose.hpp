@@ -9,10 +9,9 @@
 // every server belongs to at most one — so solving each component
 // separately and stitching the sub-solutions back is exact: the stitched
 // cost equals the monolithic optimum whenever every component is solved
-// exactly. Components are dispatched onto util::ThreadPool with disjoint
-// result slots (bit-identical across thread counts, like ScenarioRunner),
-// and solve_auto applies exact_size_limit per component, so batches that
-// were heuristic-only as monoliths become exactly solvable shard by shard.
+// exactly. Components are solved one after another in component order, and
+// solve_auto applies exact_size_limit per component, so batches that were
+// heuristic-only as monoliths become exactly solvable shard by shard.
 #pragma once
 
 #include <cstddef>
@@ -42,9 +41,8 @@ struct Component {
                                                   const Component& component);
 
 /// Solve by decomposition: each component goes through solve_unsharded
-/// (exact_size_limit applies per component) on `options.shard_threads` pool
-/// workers with disjoint result slots, and the sub-solutions are stitched
-/// back. Exact whenever every component is solved exactly; the returned
+/// (exact_size_limit applies per component) in component order, and the
+/// sub-solutions are stitched back. Exact whenever every component is solved exactly; the returned
 /// stats report the decomposition shape and per-shard paths.
 [[nodiscard]] AssignmentSolution solve_sharded(const AssignmentProblem& problem,
                                                const AssignmentOptions& options = {});

@@ -1,21 +1,14 @@
-// Process-wide worker-budget arbiter for nested parallelism.
+// Process-wide worker budget.
 //
-// CarbonEdge now parallelizes at three nested layers: ScenarioRunner fans
-// out across grid cells, EdgeSimulation shards per-site work inside one
-// cell, and solve_sharded dispatches placement components. Each layer sized
-// for the whole machine would oversubscribe multiplicatively (cells x sim
-// shards x solver shards); each layer sized for the worst case would leave
-// cores idle whenever the grid is narrower than the machine. Instead every
-// layer leases lanes from one ParallelismBudget: the sweep takes what its
-// cell count can use, and whatever is left flows down to the simulations
-// and solvers it spawns (first come, first served).
+// CarbonEdge parallelizes at one layer: ScenarioRunner runs sweep cells
+// concurrently, one serial simulation per lane. The runner leases its cell
+// lanes from this budget, sized by CARBONEDGE_THREADS, so by default the
+// process runs no more cells at once than configured; the obs export
+// reports the lane high-water mark.
 //
-// The budget arbitrates *throughput only*. Every parallel loop in the
-// project computes per-item values into disjoint slots and reduces them in
-// a fixed order, so results are byte-identical no matter how many lanes a
-// lease happens to grant — CARBONEDGE_THREADS=1 and =64 produce the same
-// tables (asserted by tests/test_parallelism.cpp and the determinism-gate
-// CI job).
+// The budget bounds throughput only. Each cell's result is a pure function
+// of its scenario, so CARBONEDGE_THREADS=1 and =64 produce the same tables
+// (enforced by the determinism-gate CI job).
 #pragma once
 
 #include <atomic>
@@ -49,10 +42,8 @@ class ParallelismBudget {
     return extra_available_.load(std::memory_order_relaxed);
   }
   /// High-water mark of concurrent lanes: the root caller's own lane plus
-  /// every extra lane out on lease at the same moment. A nested lease's
-  /// lanes() == 1 adds nothing — it runs on a lane its parent already
-  /// holds. Never exceeds total() (the invariant the nested-load test
-  /// asserts), assuming one top-level entry thread.
+  /// every extra lane out on lease at the same moment. Starts at 1 (the
+  /// root lane) and never exceeds total(), assuming one entry thread.
   [[nodiscard]] std::size_t peak_lanes() const noexcept {
     return peak_lanes_.load(std::memory_order_relaxed);
   }
@@ -92,11 +83,11 @@ class ParallelismBudget {
 
   std::size_t total_ = 1;
   std::atomic<std::size_t> extra_available_{0};
-  std::atomic<std::size_t> peak_lanes_{0};
+  std::atomic<std::size_t> peak_lanes_{1};
 };
 
-/// The process-wide budget every layer leases from by default; sized by
-/// configured_thread_count() on first use.
+/// The process-wide budget ScenarioRunner leases its cell lanes from; sized
+/// by configured_thread_count() on first use.
 [[nodiscard]] ParallelismBudget& global_budget();
 
 }  // namespace carbonedge::util

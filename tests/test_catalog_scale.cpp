@@ -1,6 +1,5 @@
 // The planet-scale acceptance check: a 1000-site synthetic catalog runs a
-// banded-geography simulation whose encoded outcome is byte-identical
-// across worker-lane counts, without ever materializing the n^2 latency
+// banded-geography simulation without ever materializing the n^2 latency
 // matrix.
 #include <gtest/gtest.h>
 
@@ -20,8 +19,6 @@
 #include "geo/sparse_latency.hpp"
 #include "sim/datacenter.hpp"
 #include "sim/device.hpp"
-#include "store/codecs.hpp"
-#include "util/parallelism.hpp"
 #include "util/random.hpp"
 
 namespace carbonedge {
@@ -70,35 +67,7 @@ core::SimulationConfig scale_config() {
   return config;
 }
 
-// One full run under an injected lane budget; returns the encoded outcome
-// so comparisons are over every byte of the result, not a summary.
-std::string run_banded(const geo::SiteCatalog& catalog, std::size_t lanes) {
-  const geo::Region region = geo::catalog_region(catalog, "synthetic-1000");
-  carbon::CarbonIntensityService service;
-  carbon::SynthesizerParams params;
-  params.hours = 24 * 7;  // a week of trace is plenty for 4 epochs
-  service.add_region(region, params);
-
-  core::EdgeSimulation simulation(
-      sim::make_uniform_cluster(region, 1, sim::DeviceType::kA2), service,
-      geo::LatencyModel{}, /*latency_band_one_way_ms=*/8.0);
-  util::ParallelismBudget budget(lanes);
-  simulation.set_parallelism_budget(&budget);
-  core::SimulationResult result = simulation.run(scale_config());
-  if (lanes > 1) {
-    // The comparison is only meaningful if the shard pool really engaged.
-    EXPECT_GT(budget.peak_lanes(), 1u);
-  }
-  // Wall-clock solve/deploy timings are the one sanctioned nondeterministic
-  // part of a result; zero them so the byte comparison covers everything
-  // else (counters, per-site telemetry, histograms) and nothing spurious.
-  result.total_solve_ms = 0.0;
-  result.mean_solve_ms = 0.0;
-  result.mean_deploy_ms = 0.0;
-  return store::encode_outcome(result);
-}
-
-TEST(CatalogScale, ThousandSiteBandedSweepIsLaneCountInvariant) {
+TEST(CatalogScale, ThousandSiteBandedSweepStaysSparse) {
   const geo::CompiledSiteCatalog catalog = synthetic_catalog(1000);
   ASSERT_EQ(catalog.size(), 1000u);
 
@@ -107,12 +76,18 @@ TEST(CatalogScale, ThousandSiteBandedSweepIsLaneCountInvariant) {
   const geo::BandedLatencyMatrix banded(geo::LatencyModel{}, catalog.all(), 8.0);
   EXPECT_LT(banded.stored_entries(), 1000u * 1000u / 4u);
 
-  const std::string serial = run_banded(catalog, 1);
-  const std::string parallel = run_banded(catalog, 4);
-  // Byte-identical encoded outcomes: every counter, every telemetry sample,
-  // every histogram bucket — not just the summary table.
-  EXPECT_EQ(serial, parallel);
-  EXPECT_FALSE(serial.empty());
+  const geo::Region region = geo::catalog_region(catalog, "synthetic-1000");
+  carbon::CarbonIntensityService service;
+  carbon::SynthesizerParams params;
+  params.hours = 24 * 7;  // a week of trace is plenty for 4 epochs
+  service.add_region(region, params);
+  core::EdgeSimulation simulation(
+      sim::make_uniform_cluster(region, 1, sim::DeviceType::kA2), service,
+      geo::LatencyModel{}, /*latency_band_one_way_ms=*/8.0);
+  const core::SimulationResult result = simulation.run(scale_config());
+  EXPECT_EQ(result.telemetry.size(), 4u);
+  EXPECT_GT(result.apps_placed, 0u);
+  EXPECT_GT(result.telemetry.total_carbon_g(), 0.0);
 }
 
 TEST(CatalogScale, CatalogRegionHonorsMaxSitesByPopulation) {

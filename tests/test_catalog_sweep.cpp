@@ -6,6 +6,7 @@
 
 #include "carbon/synthesizer.hpp"
 #include "core/simulation.hpp"
+#include "geo/city.hpp"
 #include "util/random.hpp"
 
 namespace carbonedge {
@@ -16,7 +17,6 @@ class CitySweep : public ::testing::TestWithParam<int> {};
 TEST_P(CitySweep, SynthesizedTraceIsPhysical) {
   const auto& db = geo::CityDatabase::builtin();
   const auto index = static_cast<std::size_t>(GetParam());
-  if (index >= db.size()) GTEST_SKIP();
   const geo::City& city = db.by_id(static_cast<geo::CityId>(index));
   const carbon::ZoneSpec spec = carbon::ZoneCatalog::builtin().spec_for(city);
   carbon::SynthesizerParams params;
@@ -44,7 +44,9 @@ TEST_P(CitySweep, SynthesizedTraceIsPhysical) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllCities, CitySweep, ::testing::Range(0, 240));
+INSTANTIATE_TEST_SUITE_P(AllCities, CitySweep,
+                         ::testing::Range(0, static_cast<int>(
+                                                 geo::CityDatabase::builtin().size())));
 
 class PlacementSweep : public ::testing::TestWithParam<int> {};
 

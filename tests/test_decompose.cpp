@@ -167,24 +167,6 @@ TEST_P(ShardedVsUnsharded, AutoCostNeverWorseThanMonolithicAuto) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ShardedVsUnsharded, ::testing::Range(0, 30));
 
-TEST(SolveSharded, BitIdenticalAcrossThreadCounts) {
-  for (const std::uint64_t seed : {3u, 17u, 99u}) {
-    const AssignmentProblem p = block_instance(5, 3, 2, seed);
-    AssignmentOptions one;
-    one.shard_threads = 1;
-    AssignmentOptions many;
-    many.shard_threads = 4;
-    const AssignmentSolution serial = solve_sharded(p, one);
-    const AssignmentSolution parallel = solve_sharded(p, many);
-    // Bit-identical, not approximately equal: disjoint slots mean the
-    // schedule cannot perturb the arithmetic.
-    EXPECT_EQ(serial.assignment, parallel.assignment) << "seed " << seed;
-    EXPECT_EQ(serial.total_cost, parallel.total_cost) << "seed " << seed;
-    EXPECT_EQ(serial.stats.components, parallel.stats.components) << "seed " << seed;
-    EXPECT_EQ(serial.stats.milp_nodes, parallel.stats.milp_nodes) << "seed " << seed;
-  }
-}
-
 TEST(SolveSharded, UnplaceableAppsAreIsolatedNotContagious) {
   // One app with no feasible server must not drag the rest of the batch
   // off the exact path: the other components still solve and stitch.

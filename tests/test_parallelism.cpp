@@ -1,8 +1,6 @@
-// The process worker-budget arbiter and the intra-simulation sharding it
-// feeds: leases never exceed the configured lane count even when the
-// runner, the simulations, and the solver all draw at once — and however
-// many lanes a run is granted, its results are bit-identical to the fully
-// serial engine.
+// The process worker budget the scenario runner leases its cell lanes
+// from: leases never exceed the configured lane count, and the RNG forks
+// that give each scenario its own stream are reproducible.
 #include "util/parallelism.hpp"
 
 #include <gtest/gtest.h>
@@ -12,11 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "carbon/service.hpp"
-#include "core/simulation.hpp"
-#include "geo/region.hpp"
-#include "runner/scenario_runner.hpp"
-#include "sim/datacenter.hpp"
 #include "util/random.hpp"
 
 namespace carbonedge {
@@ -50,6 +43,7 @@ TEST(ParallelismBudget, GrantsWantedLanesUpToTotal) {
   ParallelismBudget budget(4);
   EXPECT_EQ(budget.total(), 4u);
   EXPECT_EQ(budget.available(), 3u);
+  EXPECT_EQ(budget.peak_lanes(), 1u);  // the root lane, before any lease
 
   const auto lease = budget.acquire(3);
   EXPECT_EQ(lease.lanes(), 3u);
@@ -113,139 +107,6 @@ TEST(ParallelismBudget, ConcurrentHammeringNeverOverGrants) {
   EXPECT_FALSE(violated.load());
   EXPECT_EQ(budget.available(), kTotal - 1);
   EXPECT_LE(budget.peak_lanes(), kTotal);
-}
-
-// ------------------------------------------------------- nested layers --
-
-core::SimulationConfig busy_config(std::uint64_t seed) {
-  core::SimulationConfig config;
-  config.epochs = 48;
-  config.workload.arrivals_per_site = 1.5;
-  config.workload.mean_lifetime_epochs = 12.0;
-  config.workload.max_defer_epochs = 6;
-  config.workload.model_weights = {1.0, 1.0, 1.0, 0.0};
-  config.workload.seed = seed;
-  config.reoptimize_every = 8;
-  config.migration.cost_aware = true;
-  config.failures.mtbf_epochs = 200.0;
-  return config;
-}
-
-TEST(ParallelismBudget, NestedRunnerSimSolverLoadStaysWithinBudget) {
-  // Eight cells of re-optimizing, failure-injecting simulations on a
-  // three-lane budget: the sweep, every simulation's shard sections, and
-  // the solver's component dispatch all lease from the same arbiter, so
-  // the high-water lane count must never exceed the configured total.
-  ParallelismBudget budget(3);
-  runner::ScenarioGrid grid(busy_config(21));
-  grid.with_regions({geo::florida_region()})
-      .with_policies({core::PolicyConfig::carbon_edge()})
-      .with_workload_seeds({1, 2, 3, 4, 5, 6, 7, 8});
-  const auto outcomes =
-      runner::ScenarioRunner(runner::ScenarioRunnerOptions{.budget = &budget}).run(grid);
-  ASSERT_EQ(outcomes.size(), 8u);
-  EXPECT_LE(budget.peak_lanes(), budget.total());
-  EXPECT_EQ(budget.available(), budget.total() - 1);  // every lease returned
-}
-
-TEST(ParallelismBudget, NarrowGridHandsLeftoverLanesToCells) {
-  // Two cells on a six-lane budget: the sweep needs only two lanes, and
-  // each cell's simulation should pick up a share of the leftover for its
-  // intra-epoch shard pool rather than leaving four lanes idle.
-  ParallelismBudget budget(6);
-  runner::ScenarioGrid grid(busy_config(22));
-  grid.with_regions({geo::florida_region()})
-      .with_policies({core::PolicyConfig::latency_aware(), core::PolicyConfig::carbon_edge()});
-  const auto outcomes =
-      runner::ScenarioRunner(runner::ScenarioRunnerOptions{.budget = &budget}).run(grid);
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_LE(budget.peak_lanes(), budget.total());
-  // The sweep's two lanes plus at least one cell's leftover share were in
-  // flight together at some point.
-  EXPECT_GT(budget.peak_lanes(), 2u);
-  EXPECT_EQ(budget.available(), budget.total() - 1);
-}
-
-// ------------------------------------------- cross-lane-count identity --
-
-void expect_bit_identical(const core::SimulationResult& a, const core::SimulationResult& b) {
-  EXPECT_EQ(a.apps_placed, b.apps_placed);
-  EXPECT_EQ(a.apps_rejected, b.apps_rejected);
-  EXPECT_EQ(a.apps_deferred, b.apps_deferred);
-  EXPECT_EQ(a.apps_expired_deferred, b.apps_expired_deferred);
-  EXPECT_EQ(a.migrations, b.migrations);
-  EXPECT_EQ(a.migrations_skipped, b.migrations_skipped);
-  EXPECT_EQ(a.migration_energy_wh, b.migration_energy_wh);
-  EXPECT_EQ(a.migration_carbon_g, b.migration_carbon_g);
-  EXPECT_EQ(a.server_failures, b.server_failures);
-  EXPECT_EQ(a.apps_redeployed, b.apps_redeployed);
-  EXPECT_EQ(a.app_downtime_epochs, b.app_downtime_epochs);
-  ASSERT_EQ(a.telemetry.size(), b.telemetry.size());
-  for (std::size_t e = 0; e < a.telemetry.size(); ++e) {
-    const sim::EpochRecord& ra = a.telemetry.epochs()[e];
-    const sim::EpochRecord& rb = b.telemetry.epochs()[e];
-    EXPECT_EQ(ra.rtt_weighted_sum_ms, rb.rtt_weighted_sum_ms);
-    EXPECT_EQ(ra.response_weighted_sum_ms, rb.response_weighted_sum_ms);
-    EXPECT_EQ(ra.rps_total, rb.rps_total);
-    EXPECT_EQ(ra.apps_placed, rb.apps_placed);
-    EXPECT_EQ(ra.apps_rejected, rb.apps_rejected);
-    EXPECT_EQ(ra.migrations, rb.migrations);
-    EXPECT_EQ(ra.failures, rb.failures);
-    ASSERT_EQ(ra.sites.size(), rb.sites.size());
-    for (std::size_t s = 0; s < ra.sites.size(); ++s) {
-      EXPECT_EQ(ra.sites[s].energy_wh, rb.sites[s].energy_wh);
-      EXPECT_EQ(ra.sites[s].carbon_g, rb.sites[s].carbon_g);
-      EXPECT_EQ(ra.sites[s].intensity_g_kwh, rb.sites[s].intensity_g_kwh);
-      EXPECT_EQ(ra.sites[s].apps_hosted, rb.sites[s].apps_hosted);
-      EXPECT_EQ(ra.sites[s].rps_hosted, rb.sites[s].rps_hosted);
-    }
-  }
-  EXPECT_EQ(a.telemetry.response_percentile(50.0), b.telemetry.response_percentile(50.0));
-  EXPECT_EQ(a.telemetry.response_percentile(99.0), b.telemetry.response_percentile(99.0));
-  EXPECT_EQ(a.telemetry.load_intensity_sample(), b.telemetry.load_intensity_sample());
-}
-
-TEST(ParallelismDeterminism, ShardedRunsAreBitIdenticalToSerialOnRandomizedScenarios) {
-  // Randomized scenario set: arrival intensity, deferral budget, cadence,
-  // cost-awareness, failures, and policy all drawn per scenario. Every
-  // scenario is big enough (40-site CDN region, heavy arrivals) that the
-  // epoch sections really dispatch onto the shard pool, and each one must
-  // come back bit-identical to the single-lane run.
-  const geo::Region region = geo::cdn_region(geo::Continent::kNorthAmerica, 40);
-  carbon::CarbonIntensityService service;
-  service.add_region(region);
-  core::EdgeSimulation simulation(
-      sim::make_uniform_cluster(region, 2, sim::DeviceType::kA2), service);
-
-  util::Rng seeder(0x5EED5);
-  for (int round = 0; round < 4; ++round) {
-    util::Rng rng = seeder.fork(round);  // per-scenario stream
-    core::SimulationConfig config;
-    config.epochs = 36;
-    config.workload.arrivals_per_site = 1.0 + rng.uniform(0.0, 1.5);
-    config.workload.mean_lifetime_epochs = 8.0 + rng.uniform(0.0, 8.0);
-    config.workload.max_defer_epochs = static_cast<std::uint32_t>(rng.uniform_index(8));
-    config.workload.model_weights = {1.0, 1.0, 1.0, 0.0};
-    config.workload.seed = rng();
-    config.policy = rng.bernoulli(0.5) ? core::PolicyConfig::carbon_edge()
-                                       : core::PolicyConfig::latency_aware();
-    config.reoptimize_every = 6 + static_cast<std::uint32_t>(rng.uniform_index(6));
-    config.migration.cost_aware = rng.bernoulli(0.5);
-    config.failures.mtbf_epochs = rng.bernoulli(0.5) ? 150.0 : 0.0;
-    config.failures.seed = rng();
-
-    ParallelismBudget serial(1);
-    simulation.set_parallelism_budget(&serial);
-    const core::SimulationResult one = simulation.run(config);
-
-    ParallelismBudget wide(8);
-    simulation.set_parallelism_budget(&wide);
-    const core::SimulationResult eight = simulation.run(config);
-    EXPECT_GT(wide.peak_lanes(), 1u);  // the shard pool really engaged
-
-    SCOPED_TRACE("randomized scenario round " + std::to_string(round));
-    expect_bit_identical(one, eight);
-  }
 }
 
 TEST(ParallelismDeterminism, RngForkIsReproducibleAndLeavesParentUntouched) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/span.hpp"
+
 namespace carbonedge::core {
 namespace {
 
@@ -145,8 +147,17 @@ TEST(Simulation, SolveTimeAccounted) {
   const auto service = make_service(region);
   EdgeSimulation simulation(
       sim::make_uniform_cluster(region, 1, sim::DeviceType::kA2), service);
+  // Decision time is wall clock, so it lives in the obs timing view (the
+  // placement service's span, one call per epoch with a non-empty batch),
+  // not in the result.
+  const obs::Phase place("core.place");
+  const std::uint64_t calls_before = place.calls().value();
+  const std::uint64_t ns_before = place.total_ns().value();
   const SimulationResult result = simulation.run(testbed_config());
-  EXPECT_GT(result.total_solve_ms, 0.0);
+  const std::uint64_t calls = place.calls().value() - calls_before;
+  EXPECT_GT(calls, 0u);
+  EXPECT_LE(calls, testbed_config().epochs);
+  EXPECT_GT(place.total_ns().value(), ns_before);
   EXPECT_GT(result.mean_deploy_ms, 0.0);
 }
 

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "runner/scenario_runner.hpp"
+#include "store/artifact.hpp"
 #include "store/codecs.hpp"
 #include "store_test_util.hpp"
 
@@ -90,6 +91,34 @@ TEST(SweepStore, OutcomeRoundTripsThroughTheStore) {
   EXPECT_EQ(a.telemetry.mean_rtt_ms(), b.telemetry.mean_rtt_ms());
   EXPECT_EQ(a.telemetry.response_percentile(99.0), b.telemetry.response_percentile(99.0));
   EXPECT_EQ(a.telemetry.load_intensity_sample(), b.telemetry.load_intensity_sample());
+}
+
+TEST(SweepStore, StaleSchemaOutcomeIsACountedMiss) {
+  // A checksum-valid entry written under the previous outcome schema (which
+  // still carried two wall-clock solve-time doubles after the schema word)
+  // must load as a counted miss and be recomputed, never misread.
+  TempStoreDir tmp;
+  auto artifacts = std::make_shared<ArtifactStore>(tmp.dir);
+  SweepStore store(artifacts);
+  const auto scenarios = small_grid().expand();
+  const auto outcomes = runner::ScenarioRunner().run({scenarios[0]});
+  ASSERT_EQ(outcomes.size(), 1u);
+
+  const std::string current = encode_outcome(outcomes[0].result);
+  ByteWriter old_header;
+  old_header.u32(1);       // schema 1
+  old_header.f64(12.5);    // total_solve_ms
+  old_header.f64(0.5);     // mean_solve_ms
+  const std::string stale = old_header.take() + current.substr(sizeof(std::uint32_t));
+  artifacts->save(ArtifactKind::kSweepOutcome, SweepStore::fingerprint(scenarios[0]), stale);
+
+  EXPECT_EQ(store.load(scenarios[0]), std::nullopt);
+  EXPECT_EQ(store.misses(), 1u);
+  EXPECT_EQ(store.hits(), 0u);
+  // The fresh save overwrites the stale entry, and the next load hits.
+  store.save(scenarios[0], outcomes[0].result);
+  EXPECT_TRUE(store.load(scenarios[0]).has_value());
+  EXPECT_EQ(store.hits(), 1u);
 }
 
 TEST(SweepStore, InterruptedSweepResumesByteIdentical) {
