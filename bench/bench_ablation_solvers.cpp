@@ -1,17 +1,16 @@
 // Ablation: solver path selection (DESIGN.md section 5). Compares the exact
-// MILP, min-cost flow (on unit-slot restrictions), and regret-greedy +
-// local-search on the same placement instances: solution quality (objective
-// vs exact), runtime, and B&B node counts (the per-pair x<=y linking rows
-// shrink these). A second table shards block-diagonal instances through
-// connected-component decomposition and reports component counts, per-path
-// shard totals, node savings, and wall-clock speedup over the monolithic
-// exact solve. Justifies solve_auto's size thresholds and sharding default.
+// MILP and regret-greedy + local-search on the same placement instances:
+// solution quality (objective vs exact), runtime, and B&B node counts (the
+// per-pair x<=y linking rows shrink these). A second table solves
+// block-diagonal instances through solve_auto's connected-component
+// decomposition and reports component counts, exact-shard totals, node
+// savings, and wall-clock speedup over the monolithic exact solve. Justifies
+// solve_auto's size threshold and sharding.
 #include <chrono>
 
 #include "bench_util.hpp"
 
 #include "solver/assignment.hpp"
-#include "solver/decompose.hpp"
 #include "solver/lagrangian.hpp"
 #include "solver/milp.hpp"
 #include "util/random.hpp"
@@ -104,10 +103,10 @@ AssignmentProblem block_instance(std::size_t blocks, std::size_t apps_per, std::
 }  // namespace
 
 int main() {
-  bench::print_header("Ablation", "Solver paths: exact MILP vs flow vs greedy+LS");
+  bench::print_header("Ablation", "Solver paths: exact MILP vs greedy+LS");
 
-  util::Table table({"Instance", "dual LB", "exact cost", "exact ms", "exact nodes", "flow cost",
-                     "flow ms", "greedy+LS cost", "greedy+LS ms", "gap"});
+  util::Table table({"Instance", "dual LB", "exact cost", "exact ms", "exact nodes",
+                     "greedy+LS cost", "greedy+LS ms", "gap"});
   table.set_title("Solver comparison (mean over 5 seeds; dual LB = Lagrangian bound)");
 
   struct Shape {
@@ -129,8 +128,6 @@ int main() {
     double exact_cost = 0.0;
     double exact_ms = 0.0;
     double exact_nodes = 0.0;
-    double flow_cost = 0.0;
-    double flow_ms = 0.0;
     double greedy_cost = 0.0;
     double greedy_ms = 0.0;
     int counted = 0;
@@ -145,21 +142,12 @@ int main() {
         improve_local_search(p, s);
         return s;
       });
-      double fc = 0.0;
-      double ft = 0.0;
-      if (shape.unit_slot) {
-        const Timed flow = timed([&] { return solve_flow(p); });
-        fc = flow.cost();
-        ft = flow.ms;
-      }
       LagrangianOptions lag;
       lag.upper_bound = greedy.cost();
       dual_bound += lagrangian_lower_bound(p, lag).lower_bound;
       exact_cost += exact.cost();
       exact_ms += exact.ms;
       exact_nodes += static_cast<double>(exact.solution.stats.milp_nodes);
-      flow_cost += fc;
-      flow_ms += ft;
       greedy_cost += greedy.cost();
       greedy_ms += greedy.ms;
       ++counted;
@@ -171,15 +159,13 @@ int main() {
                    util::format_fixed(exact_cost * inv, 2),
                    util::format_fixed(exact_ms * inv, 2),
                    util::format_fixed(exact_nodes * inv, 1),
-                   shape.unit_slot ? util::format_fixed(flow_cost * inv, 2) : "-",
-                   shape.unit_slot ? util::format_fixed(flow_ms * inv, 3) : "-",
                    util::format_fixed(greedy_cost * inv, 2),
                    util::format_fixed(greedy_ms * inv, 3), util::format_percent(gap, 1)});
   }
   table.print(std::cout);
   bench::print_takeaway(
-      "Flow matches the exact optimum on unit-slot instances at a fraction of the cost; "
-      "greedy+LS stays within a few percent of optimal - justifying solve_auto's routing.");
+      "Greedy+LS stays within a few percent of the exact optimum at a fraction of its cost - "
+      "justifying solve_auto's heuristic path beyond testbed scale.");
 
   // ---- Sharded vs monolithic exact on block-diagonal (multi-metro) batches.
   util::Table sharded_table({"Instance", "comps", "exact shards", "mono cost", "shard cost",
@@ -198,10 +184,6 @@ int main() {
       {6, 5, 3, "6 x (5x3)"},
       {8, 4, 4, "8 x (4x4)"},
   };
-  AssignmentOptions shard_options;
-  // Per-component limit generous enough that every shard solves exactly;
-  // the monolithic pair counts above are far beyond solve_auto's default.
-  shard_options.exact_size_limit = 64;
   std::size_t mono_capped = 0;  // monolithic B&Bs truncated at the node cap
   for (const BlockShape& shape : block_shapes) {
     double mono_cost = 0.0;
@@ -218,7 +200,7 @@ int main() {
           block_instance(shape.blocks, shape.apps_per, shape.servers_per, seed * 104729);
       const Timed mono = timed([&] { return solve_exact(p); });
       if (mono.cost() < 0.0) continue;  // skip infeasible draws
-      const Timed sharded = timed([&] { return solve_sharded(p, shard_options); });
+      const Timed sharded = timed([&] { return solve_auto(p); });
       if (sharded.cost() < 0.0) continue;  // never mix -1 sentinels into a mean
       if (mono.solution.stats.milp_nodes >= MilpOptions{}.max_nodes) ++mono_capped;
       mono_cost += mono.cost();
@@ -250,7 +232,7 @@ int main() {
   }
   bench::print_takeaway(
       "Sharding is exact (stitched cost equals the monolithic optimum) while exploring far "
-      "fewer B&B nodes per shard and solving components in parallel - batches that were "
-      "heuristic-only as monoliths stay on the exact path.");
+      "fewer B&B nodes per shard - batches that would be heuristic-only as monoliths stay on "
+      "the exact path.");
   return 0;
 }

@@ -11,6 +11,7 @@
 #include "core/problem.hpp"
 #include "geo/latency.hpp"
 #include "geo/region.hpp"
+#include "obs/clock.hpp"
 #include "sim/app_model.hpp"
 #include "sim/datacenter.hpp"
 #include "sim/device.hpp"
@@ -79,14 +80,16 @@ int main(int argc, char** argv) {
   input.latency = &testbed.latency;
   input.carbon = &testbed.service;
   input.now = 12;
+  const std::uint64_t t0_ns = obs::now_ns();
   const core::PlacementResult placement = service.place(input, one_batch(5));
+  const double place_ms = static_cast<double>(obs::now_ns() - t0_ns) / 1e6;
   core::Orchestrator orchestrator;
   orchestrator.deploy(placement);
 
   util::Table table({"Stage", "Latency", "Paper"});
   table.set_title("Section 6.5: overheads");
   table.add_row({"Placement decision (5 apps x 5 DCs)",
-                 util::format_fixed(placement.solve_time_ms, 2) + " ms", "~3.3 ms"});
+                 util::format_fixed(place_ms, 2) + " ms", "~3.3 ms"});
   table.add_row({"Deployment initiation (per app)",
                  util::format_fixed(orchestrator.mean_deploy_ms() / 1000.0, 2) + " s",
                  "~1.01 s"});

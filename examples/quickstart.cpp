@@ -14,6 +14,7 @@
 #include "core/problem.hpp"
 #include "geo/latency.hpp"
 #include "geo/region.hpp"
+#include "obs/clock.hpp"
 #include "sim/app_model.hpp"
 #include "sim/datacenter.hpp"
 #include "sim/device.hpp"
@@ -55,7 +56,9 @@ int main() {
   input.forecast_horizon_hours = 24;
 
   core::PlacementService service(core::PolicyConfig::carbon_edge());
+  const std::uint64_t t0_ns = obs::now_ns();
   const core::PlacementResult result = service.place(input, apps);
+  const double place_ms = static_cast<double>(obs::now_ns() - t0_ns) / 1e6;
 
   // 5. Inspect the decisions.
   const auto cities = cluster.cities();
@@ -67,7 +70,7 @@ int main() {
                    util::format_fixed(d.rtt_ms, 2), util::format_fixed(d.carbon_g, 3)});
   }
   table.print(std::cout);
-  std::cout << "Solved in " << util::format_fixed(result.solve_time_ms, 2) << " ms; "
+  std::cout << "Solved in " << util::format_fixed(place_ms, 2) << " ms; "
             << result.rejected.size() << " rejected.\n"
             << "All apps land in the greenest feasible zone - that is the paper's point:\n"
             << "meaningful carbon-intensity differences exist at mesoscale distances.\n";

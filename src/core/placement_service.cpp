@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "obs/clock.hpp"
 #include "obs/span.hpp"
 
 namespace carbonedge::core {
@@ -16,8 +15,7 @@ obs::Phase& place_phase() {
 
 }  // namespace
 
-PlacementService::PlacementService(PolicyConfig policy, solver::AssignmentOptions options)
-    : policy_(policy), options_(options) {}
+PlacementService::PlacementService(PolicyConfig policy) : policy_(policy) {}
 
 PlacementResult PlacementService::place(const PlacementInput& input,
                                         std::span<const sim::Application> apps) {
@@ -25,16 +23,10 @@ PlacementResult PlacementService::place(const PlacementInput& input,
   if (apps.empty()) return result;
 
   const obs::Span span(place_phase());
-  // Solve timing through the sanctioned obs::Clock shim: telemetry only —
-  // it feeds solve_time_ms and the span counters, never a decision.
-  const std::uint64_t t0_ns = obs::now_ns();
   BuiltProblem built = build_problem(input, apps, policy_);
-  const solver::AssignmentSolution solution = solver::solve_auto(built.problem, options_);
-  const std::uint64_t t1_ns = obs::now_ns();
-  result.solve_time_ms = static_cast<double>(t1_ns - t0_ns) / 1e6;
+  const solver::AssignmentSolution solution = solver::solve_auto(built.problem);
   result.objective = solution.total_cost;
   result.solver_stats = solution.stats;
-  result.used_exact_solver = solution.stats.heuristic_shards == 0;
 
   // Commit: power on activated servers first (Eq. 5), then host.
   for (std::size_t j = 0; j < built.servers.size(); ++j) {

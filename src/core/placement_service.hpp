@@ -28,18 +28,15 @@ struct PlacementResult {
   std::vector<sim::AppId> rejected;     // no feasible server
   std::vector<std::size_t> activated;   // flat server columns powered on
   double objective = 0.0;
-  double solve_time_ms = 0.0;           // Section 6.5 decision latency
   /// Per-shard solve telemetry: how many connected components the batch
-  /// split into and which path (exact MILP / flow / heuristic) solved each.
+  /// split into and which path (exact MILP / heuristic) solved each. The
+  /// Section 6.5 decision latency is the span.core.place timing view.
   solver::SolveStats solver_stats;
-  /// Every shard was answered by an exact method (MILP or min-cost flow);
-  /// false as soon as any component fell through to greedy + local search.
-  bool used_exact_solver = false;
 };
 
 class PlacementService {
  public:
-  explicit PlacementService(PolicyConfig policy, solver::AssignmentOptions options = {});
+  explicit PlacementService(PolicyConfig policy);
 
   /// Run Algorithm 1 on one batch and commit the outcome to the cluster
   /// (hosts the applications, powers on activated servers).
@@ -50,7 +47,6 @@ class PlacementService {
 
  private:
   PolicyConfig policy_;
-  solver::AssignmentOptions options_;
 };
 
 }  // namespace carbonedge::core

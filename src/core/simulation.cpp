@@ -82,7 +82,7 @@ SimulationEngine::SimulationEngine(sim::EdgeCluster cluster,
       cluster_(std::move(cluster)),
       carbon_(&carbon),
       latency_(&latency),
-      service_(config.policy, config.solver_options),
+      service_(config.policy),
       power_manager_(config.power),
       failure_rng_(config.failures.seed) {}
 

@@ -21,7 +21,6 @@
 #include "sim/server.hpp"
 #include "sim/telemetry.hpp"
 #include "sim/workload.hpp"
-#include "solver/assignment.hpp"
 #include "util/random.hpp"
 
 namespace carbonedge::core {
@@ -72,7 +71,6 @@ struct SimulationConfig {
   bool reoptimize_monthly = false;
   MigrationConfig migration;
   FailureConfig failures;
-  solver::AssignmentOptions solver_options;
   /// When true, site energy includes base power of powered-on servers; when
   /// false, accounting is application-attributable (dynamic energy plus
   /// activation), matching the paper's per-application emission reporting.

@@ -1,13 +1,11 @@
 #include "solver/assignment.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "solver/decompose.hpp"
-#include "solver/flow.hpp"
 
 namespace carbonedge::solver {
 
@@ -22,7 +20,6 @@ struct SolverMetrics {
   obs::Counter& solves;
   obs::Counter& components;
   obs::Counter& exact_shards;
-  obs::Counter& flow_shards;
   obs::Counter& heuristic_shards;
   obs::Counter& unplaceable_apps;
   obs::Counter& milp_nodes;
@@ -37,8 +34,6 @@ SolverMetrics& solver_metrics() {
       registry.counter("solver.components", "connected components across all solves",
                        obs::View::kDeterministic),
       registry.counter("solver.exact_shards", "components solved by the MILP",
-                       obs::View::kDeterministic),
-      registry.counter("solver.flow_shards", "components solved by min-cost flow",
                        obs::View::kDeterministic),
       registry.counter("solver.heuristic_shards",
                        "components solved by greedy + local search",
@@ -98,36 +93,6 @@ void AssignmentProblem::set_initially_on(std::size_t server, bool on) {
   initially_on_[server] = on ? 1 : 0;
 }
 
-bool AssignmentProblem::is_unit_slot() const noexcept {
-  if (num_resources_ != 1) return false;
-  for (std::size_t j = 0; j < num_servers_; ++j) {
-    const double cap = capacity(j, 0);
-    if (std::abs(cap - std::round(cap)) > 1e-9) return false;
-    bool has_feasible = false;
-    for (std::size_t i = 0; i < num_apps_; ++i) {
-      if (!feasible_pair(i, j)) continue;
-      has_feasible = true;
-      if (std::abs(demand(i, j, 0) - 1.0) > 1e-9) return false;
-    }
-    if (has_feasible && !initially_on(j) && activation_cost(j) != 0.0) return false;
-  }
-  return true;
-}
-
-FeasiblePairs enumerate_feasible_pairs(const AssignmentProblem& problem) {
-  FeasiblePairs pairs;
-  pairs.row_start.assign(problem.num_apps() + 1, 0);
-  for (std::size_t i = 0; i < problem.num_apps(); ++i) {
-    for (std::size_t j = 0; j < problem.num_servers(); ++j) {
-      if (problem.feasible_pair(i, j)) {
-        pairs.servers.push_back(static_cast<std::uint32_t>(j));
-      }
-    }
-    pairs.row_start[i + 1] = pairs.servers.size();
-  }
-  return pairs;
-}
-
 AssignmentSolution evaluate(const AssignmentProblem& problem,
                             const std::vector<std::size_t>& assignment) {
   AssignmentSolution solution;
@@ -145,6 +110,7 @@ AssignmentSolution evaluate(const AssignmentProblem& problem,
       ++solution.unassigned_count;
       continue;
     }
+    if (j >= problem.num_servers()) continue;  // validate() below rejects it
     total += problem.cost(i, j);
     if (!solution.powered_on[j]) {
       solution.powered_on[j] = 1;
@@ -317,52 +283,6 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const MilpOptio
   solution.stats.components = 1;
   solution.stats.exact_shards = 1;
   solution.stats.milp_nodes = milp.nodes_explored;
-  return solution;
-}
-
-// ---------------------------------------------------------------------------
-// Min-cost-flow path (unit-slot instances)
-// ---------------------------------------------------------------------------
-
-AssignmentSolution solve_flow(const AssignmentProblem& problem) {
-  const std::size_t apps = problem.num_apps();
-  const std::size_t servers = problem.num_servers();
-  // Node layout: 0 = source, 1..apps = apps, apps+1..apps+servers = servers,
-  // apps+servers+1 = sink.
-  const std::size_t source = 0;
-  const std::size_t sink = apps + servers + 1;
-  MinCostFlow network(sink + 1);
-
-  for (std::size_t i = 0; i < apps; ++i) {
-    network.add_arc(source, 1 + i, 1, 0.0);
-  }
-  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> pair_arcs(apps);
-  for (std::size_t i = 0; i < apps; ++i) {
-    for (std::size_t j = 0; j < servers; ++j) {
-      if (!problem.feasible_pair(i, j)) continue;
-      const std::size_t arc = network.add_arc(1 + i, 1 + apps + j, 1, problem.cost(i, j));
-      pair_arcs[i].emplace_back(j, arc);
-    }
-  }
-  for (std::size_t j = 0; j < servers; ++j) {
-    const auto slots = static_cast<std::int64_t>(std::llround(problem.capacity(j, 0)));
-    if (slots > 0) network.add_arc(1 + apps + j, sink, slots, 0.0);
-  }
-
-  network.solve(source, sink, static_cast<std::int64_t>(apps));
-
-  std::vector<std::size_t> assignment(apps, kUnassigned);
-  for (std::size_t i = 0; i < apps; ++i) {
-    for (const auto& [j, arc] : pair_arcs[i]) {
-      if (network.flow_on(arc) > 0) {
-        assignment[i] = j;
-        break;
-      }
-    }
-  }
-  AssignmentSolution solution = evaluate(problem, assignment);
-  solution.stats.components = 1;
-  solution.stats.flow_shards = 1;
   return solution;
 }
 
@@ -568,46 +488,75 @@ std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSol
   return improvements;
 }
 
-AssignmentSolution solve_unsharded(const AssignmentProblem& problem,
-                                   const AssignmentOptions& options) {
-  if (problem.is_unit_slot()) {
-    AssignmentSolution flow = solve_flow(problem);
-    if (flow.unassigned_count == 0) return flow;
-    // Some apps came back unassigned (unplaceable, or capacity-starved):
-    // fall back to greedy + local search the way the exact path does, and
-    // keep whichever partial answer places more apps, then costs less.
-    AssignmentSolution fallback = solve_greedy(problem);
-    improve_local_search(problem, fallback, options.local_search_rounds);
-    if (fallback.unassigned_count < flow.unassigned_count ||
-        (fallback.unassigned_count == flow.unassigned_count &&
-         fallback.total_cost < flow.total_cost - 1e-9)) {
-      return fallback;
-    }
-    return flow;
-  }
-  if (problem.num_apps() * problem.num_servers() <= options.exact_size_limit) {
-    AssignmentSolution exact = solve_exact(problem, options.milp);
+namespace {
+
+// Largest apps x servers a component may have to go through the exact MILP
+// (testbed scale); larger components take greedy + local search.
+constexpr std::size_t kExactSizeLimit = 64;
+constexpr std::size_t kLocalSearchRounds = 20;
+
+// One (assumed connected) instance: the exact MILP when within
+// kExactSizeLimit, else — or when the MILP finds no feasible answer —
+// greedy + local search.
+AssignmentSolution solve_connected(const AssignmentProblem& problem) {
+  if (problem.num_apps() * problem.num_servers() <= kExactSizeLimit) {
+    AssignmentSolution exact = solve_exact(problem);
     if (exact.feasible) return exact;
   }
   AssignmentSolution solution = solve_greedy(problem);
-  improve_local_search(problem, solution, options.local_search_rounds);
+  improve_local_search(problem, solution, kLocalSearchRounds);
   return solution;
 }
 
-AssignmentSolution solve_auto(const AssignmentProblem& problem, const AssignmentOptions& options) {
+// Each component goes through solve_connected in component order and the
+// sub-solutions are stitched back. Exact whenever every component is solved
+// exactly; the returned stats report the decomposition shape and per-shard
+// paths.
+AssignmentSolution solve_decomposed(const AssignmentProblem& problem) {
+  const std::vector<Component> components = connected_components(problem);
+  if (components.size() == 1 && components.front().apps.size() == problem.num_apps() &&
+      components.front().servers.size() == problem.num_servers()) {
+    // Nothing to shard and nothing to drop: skip the extraction copy.
+    return solve_connected(problem);
+  }
+
+  std::vector<std::size_t> assignment(problem.num_apps(), kUnassigned);
+  SolveStats stats;
+  stats.components = components.size();
+  for (const Component& component : components) {
+    if (component.servers.empty()) {
+      // Unplaceable app(s): they stay kUnassigned.
+      stats.unplaceable_apps += component.apps.size();
+      continue;
+    }
+    const AssignmentSolution sub = solve_connected(extract_component(problem, component));
+    for (std::size_t k = 0; k < component.apps.size(); ++k) {
+      const std::size_t jj = sub.assignment[k];
+      if (jj != kUnassigned) assignment[component.apps[k]] = component.servers[jj];
+    }
+    stats.exact_shards += sub.stats.exact_shards;
+    stats.heuristic_shards += sub.stats.heuristic_shards;
+    stats.unplaceable_apps += sub.stats.unplaceable_apps;
+    stats.milp_nodes += sub.stats.milp_nodes;
+  }
+
+  // Components are server-disjoint, so re-evaluating the stitched assignment
+  // against the parent problem reproduces the sum of the sub-costs
+  // (placement plus activation) exactly.
+  AssignmentSolution result = evaluate(problem, assignment);
+  result.stats = stats;
+  return result;
+}
+
+}  // namespace
+
+AssignmentSolution solve_auto(const AssignmentProblem& problem) {
   const obs::Span span(solve_phase());
-  // Unit-slot instances keep the monolithic min-cost-flow path: it is
-  // already exact and near-linear in the pair count, so decomposing would
-  // only perturb equal-cost tie-breaking. Everything else is sharded so
-  // exact_size_limit applies per connected component.
-  AssignmentSolution solution = !options.shard || problem.is_unit_slot()
-                                    ? solve_unsharded(problem, options)
-                                    : solve_sharded(problem, options);
+  AssignmentSolution solution = solve_decomposed(problem);
   SolverMetrics& metrics = solver_metrics();
   metrics.solves.add();
   metrics.components.add(solution.stats.components);
   metrics.exact_shards.add(solution.stats.exact_shards);
-  metrics.flow_shards.add(solution.stats.flow_shards);
   metrics.heuristic_shards.add(solution.stats.heuristic_shards);
   metrics.unplaceable_apps.add(solution.stats.unplaceable_apps);
   metrics.milp_nodes.add(solution.stats.milp_nodes);

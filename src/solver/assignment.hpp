@@ -9,20 +9,18 @@
 // off incur activation_cost(j) once if they receive any application
 // (Eq. 6's second term; Eq. 4-5 power-state constraints).
 //
-// Three solution paths, cross-validated in tests:
+// Two solution paths, cross-validated in tests:
 //  * solve_exact   — branch-and-bound MILP; exact, testbed scale.
-//  * solve_flow    — min-cost flow; exact for unit-slot single-resource
-//                    instances with no activation costs (the CDN case).
 //  * solve_greedy + improve_local_search — regret greedy with relocate/swap
 //                    improvement; any scale, near-optimal in practice.
-// solve_auto first shards the instance into connected components of the
-// feasible-pair graph (see decompose.hpp — latency pre-filtering makes real
-// batches block-diagonal, and the decomposition is exact) and then picks the
-// cheapest exact path that applies per component, else the heuristic.
+// solve_auto, the one entry point placement uses, first shards the instance
+// into connected components of the feasible-pair graph (see decompose.hpp —
+// latency pre-filtering makes real batches block-diagonal, and the
+// decomposition is exact) and then solves each component exactly when it is
+// testbed scale, else with the heuristic.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "solver/lp.hpp"
@@ -68,11 +66,6 @@ class AssignmentProblem {
     return initially_on_[server] != 0;
   }
 
-  /// True if the flow path applies: one resource, every feasible pair has
-  /// demand exactly 1, integral capacities, and no activation cost on any
-  /// initially-off server that has a feasible pair.
-  [[nodiscard]] bool is_unit_slot() const noexcept;
-
  private:
   std::size_t num_apps_;
   std::size_t num_servers_;
@@ -84,36 +77,15 @@ class AssignmentProblem {
   std::vector<std::uint8_t> initially_on_;
 };
 
-/// Row-compressed snapshot of the feasible-pair graph: per app, the
-/// ascending list of servers with finite cost. Built in one pass over the
-/// cost matrix and shared by consumers that would otherwise re-scan all
-/// apps x servers cells per question (component decomposition, feasibility
-/// probes) — with a banded latency geography the row lists are short, so
-/// everything downstream of the build scales with the feasible support
-/// instead of n^2.
-struct FeasiblePairs {
-  std::vector<std::size_t> row_start;  // apps + 1 offsets into `servers`
-  std::vector<std::uint32_t> servers;  // concatenated per-app server lists
-
-  [[nodiscard]] std::span<const std::uint32_t> of(std::size_t app) const noexcept {
-    return std::span<const std::uint32_t>(servers).subspan(
-        row_start[app], row_start[app + 1] - row_start[app]);
-  }
-};
-
-[[nodiscard]] FeasiblePairs enumerate_feasible_pairs(const AssignmentProblem& problem);
-
 /// How a solver call answered: the decomposition shape and the path that
 /// solved each shard. Solvers fill this in on the solutions they return;
 /// evaluate() leaves it zeroed (a hand-built solution has no solve path).
 struct SolveStats {
   std::size_t components = 0;       // connected components (1 = monolithic)
   std::size_t exact_shards = 0;     // components solved by the MILP
-  std::size_t flow_shards = 0;      // components solved by min-cost flow
   std::size_t heuristic_shards = 0; // components solved by greedy + local search
   std::size_t unplaceable_apps = 0; // apps with no feasible server at all
   std::size_t milp_nodes = 0;       // total B&B nodes across exact shards
-  std::size_t largest_shard_apps = 0;
 };
 
 struct AssignmentSolution {
@@ -134,41 +106,17 @@ struct AssignmentSolution {
 [[nodiscard]] bool validate(const AssignmentProblem& problem, const AssignmentSolution& solution,
                             double tol = 1e-6);
 
-struct AssignmentOptions {
-  MilpOptions milp;
-  std::size_t local_search_rounds = 20;
-  /// Use the exact MILP when num_apps*num_servers is at most this (testbed
-  /// scale); larger instances take the flow or greedy + local-search path.
-  /// With sharding the limit applies per connected component, so large
-  /// batches that decompose into testbed-scale shards still solve exactly.
-  std::size_t exact_size_limit = 64;
-  /// Decompose into connected components of the feasible-pair graph before
-  /// solving (exact — see decompose.hpp). Disable to force the monolithic
-  /// paths. Unit-slot instances always stay monolithic: min-cost flow is
-  /// already exact and near-linear, so sharding them buys nothing.
-  bool shard = true;
-};
-
 [[nodiscard]] AssignmentSolution solve_exact(const AssignmentProblem& problem,
                                              const MilpOptions& options = {});
-[[nodiscard]] AssignmentSolution solve_flow(const AssignmentProblem& problem);
 [[nodiscard]] AssignmentSolution solve_greedy(const AssignmentProblem& problem);
 
 /// Relocate/swap improvement; returns the number of improving moves applied.
 std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSolution& solution,
                                  std::size_t max_rounds = 20);
 
-/// Pick a path for one (assumed connected) instance without decomposing:
-/// flow when unit-slot (falling back to greedy + local search when any app
-/// comes back unassigned, keeping the better of the two partial answers),
-/// exact MILP when within exact_size_limit (falling back to its greedy
-/// incumbent on MILP failure), else greedy + local search.
-[[nodiscard]] AssignmentSolution solve_unsharded(const AssignmentProblem& problem,
-                                                 const AssignmentOptions& options = {});
-
-/// Pick a path: monolithic flow when unit-slot, otherwise shard into
-/// connected components (exact) and route each through solve_unsharded.
-[[nodiscard]] AssignmentSolution solve_auto(const AssignmentProblem& problem,
-                                            const AssignmentOptions& options = {});
+/// Shard into connected components (exact) and solve each one: the exact
+/// MILP when its apps x servers is testbed scale, else — or when the MILP
+/// finds no feasible answer — greedy + local search.
+[[nodiscard]] AssignmentSolution solve_auto(const AssignmentProblem& problem);
 
 }  // namespace carbonedge::solver

@@ -38,14 +38,13 @@ class UnionFind {
 std::vector<Component> connected_components(const AssignmentProblem& problem) {
   const std::size_t apps = problem.num_apps();
   const std::size_t servers = problem.num_servers();
-  // One pass over the cost matrix up front; the union-find then walks only
-  // the feasible support (short rows under banded geographies) in the same
-  // ascending order as the old dense double scan — identical components.
-  const FeasiblePairs pairs = enumerate_feasible_pairs(problem);
+  // One pass over the cost matrix in ascending (app, server) order, uniting
+  // every feasible pair as it is found.
   UnionFind uf(apps + servers);
   std::vector<std::uint8_t> server_used(servers, 0);
   for (std::size_t i = 0; i < apps; ++i) {
-    for (const std::uint32_t j : pairs.of(i)) {
+    for (std::size_t j = 0; j < servers; ++j) {
+      if (!problem.feasible_pair(i, j)) continue;
       uf.unite(i, apps + j);
       server_used[j] = 1;
     }
@@ -93,46 +92,6 @@ AssignmentProblem extract_component(const AssignmentProblem& problem,
     }
   }
   return sub;
-}
-
-AssignmentSolution solve_sharded(const AssignmentProblem& problem,
-                                 const AssignmentOptions& options) {
-  const std::vector<Component> components = connected_components(problem);
-  if (components.size() == 1 && components.front().apps.size() == problem.num_apps() &&
-      components.front().servers.size() == problem.num_servers()) {
-    // Nothing to shard and nothing to drop: skip the extraction copy.
-    return solve_unsharded(problem, options);
-  }
-
-  std::vector<std::size_t> assignment(problem.num_apps(), kUnassigned);
-  SolveStats stats;
-  stats.components = components.size();
-  for (const Component& component : components) {
-    stats.largest_shard_apps = std::max(stats.largest_shard_apps, component.apps.size());
-    if (component.servers.empty()) {
-      // Unplaceable app(s): they stay kUnassigned.
-      stats.unplaceable_apps += component.apps.size();
-      continue;
-    }
-    const AssignmentSolution sub =
-        solve_unsharded(extract_component(problem, component), options);
-    for (std::size_t k = 0; k < component.apps.size(); ++k) {
-      const std::size_t jj = sub.assignment[k];
-      if (jj != kUnassigned) assignment[component.apps[k]] = component.servers[jj];
-    }
-    stats.exact_shards += sub.stats.exact_shards;
-    stats.flow_shards += sub.stats.flow_shards;
-    stats.heuristic_shards += sub.stats.heuristic_shards;
-    stats.unplaceable_apps += sub.stats.unplaceable_apps;
-    stats.milp_nodes += sub.stats.milp_nodes;
-  }
-
-  // Components are server-disjoint, so re-evaluating the stitched assignment
-  // against the parent problem reproduces the sum of the sub-costs
-  // (placement plus activation) exactly.
-  AssignmentSolution result = evaluate(problem, assignment);
-  result.stats = stats;
-  return result;
 }
 
 }  // namespace carbonedge::solver

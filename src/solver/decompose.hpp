@@ -9,9 +9,10 @@
 // every server belongs to at most one — so solving each component
 // separately and stitching the sub-solutions back is exact: the stitched
 // cost equals the monolithic optimum whenever every component is solved
-// exactly. Components are solved one after another in component order, and
-// solve_auto applies exact_size_limit per component, so batches that were
-// heuristic-only as monoliths become exactly solvable shard by shard.
+// exactly. solve_auto solves the components one after another in component
+// order and applies its exact-size limit per component, so batches that
+// would be heuristic-only as monoliths become exactly solvable shard by
+// shard.
 #pragma once
 
 #include <cstddef>
@@ -39,12 +40,5 @@ struct Component {
 /// app `component.apps[k]` / server `component.servers[k]` of `problem`.
 [[nodiscard]] AssignmentProblem extract_component(const AssignmentProblem& problem,
                                                   const Component& component);
-
-/// Solve by decomposition: each component goes through solve_unsharded
-/// (exact_size_limit applies per component) in component order, and the
-/// sub-solutions are stitched back. Exact whenever every component is solved exactly; the returned
-/// stats report the decomposition shape and per-shard paths.
-[[nodiscard]] AssignmentSolution solve_sharded(const AssignmentProblem& problem,
-                                               const AssignmentOptions& options = {});
 
 }  // namespace carbonedge::solver

@@ -2,8 +2,8 @@
 //
 // Substitutes for Google OR-Tools (unavailable offline). Sized for the
 // paper's placement instances: the testbed-scale MILPs relaxed here have a
-// few hundred rows/columns; CDN-scale instances take the flow/heuristic
-// paths instead (see assignment.hpp).
+// few hundred rows/columns; CDN-scale instances take the greedy + local
+// search path instead (see assignment.hpp).
 #pragma once
 
 #include <cstdint>

@@ -10,7 +10,6 @@
 #include "sim/device.hpp"
 #include "sim/workload.hpp"
 #include "obs/metrics.hpp"
-#include "solver/assignment.hpp"
 #include "store/codecs.hpp"
 #include "util/hash.hpp"
 
@@ -63,18 +62,6 @@ void mix_workload(util::Fingerprint& fp, const sim::WorkloadParams& w) {
   fp.mix(w.seed);
 }
 
-void mix_solver(util::Fingerprint& fp, const solver::AssignmentOptions& s) {
-  fp.mix(s.milp.lp.max_iterations);
-  fp.mix(s.milp.lp.pivot_tolerance);
-  fp.mix(s.milp.lp.feasibility_tolerance);
-  fp.mix(s.milp.max_nodes);
-  fp.mix(s.milp.integrality_tolerance);
-  fp.mix(s.milp.gap_tolerance);
-  fp.mix(static_cast<std::uint64_t>(s.local_search_rounds));
-  fp.mix(static_cast<std::uint64_t>(s.exact_size_limit));
-  fp.mix(s.shard);
-}
-
 void mix_config(util::Fingerprint& fp, const core::SimulationConfig& c) {
   fp.mix(static_cast<std::uint64_t>(c.policy.kind));
   fp.mix(c.policy.alpha);
@@ -94,7 +81,6 @@ void mix_config(util::Fingerprint& fp, const core::SimulationConfig& c) {
   fp.mix(c.failures.mtbf_epochs);
   fp.mix(c.failures.repair_epochs);
   fp.mix(c.failures.seed);
-  mix_solver(fp, c.solver_options);
   fp.mix(c.account_base_power);
 }
 
@@ -109,7 +95,7 @@ SweepStore::SweepStore(std::shared_ptr<ArtifactStore> artifacts)
 
 std::string SweepStore::fingerprint(const runner::Scenario& scenario) {
   util::Fingerprint fp;
-  fp.mix("carbonedge/sweep/v2");  // schema salt: bump when the field list changes
+  fp.mix("carbonedge/sweep/v3");  // schema salt: bump when the field list changes
   // Region identity is its resolved site list. SiteIds are only stable
   // within one catalog, so the fingerprint mixes each site's full physical
   // identity (name, country, location, population) rather than trusting the

@@ -44,6 +44,17 @@ TEST(Evaluate, CountsUnassigned) {
   EXPECT_EQ(sol.unassigned_count, 1u);
 }
 
+// Regression: a server index past the end used to be read from the cost
+// matrix and written into powered_on out of bounds. It must only make the
+// answer infeasible.
+TEST(Evaluate, RejectsOutOfRangeServer) {
+  const AssignmentProblem p = simple_problem(2, 2);
+  const AssignmentSolution sol = evaluate(p, {0, 2});
+  EXPECT_FALSE(sol.feasible);
+  EXPECT_EQ(sol.powered_on.size(), 2u);
+  EXPECT_DOUBLE_EQ(sol.total_cost, 0.0);  // only the in-range cost(0,0)
+}
+
 TEST(Validate, RejectsCapacityViolation) {
   AssignmentProblem p = simple_problem(3, 1);
   p.set_capacity(0, 0, 2.0);  // only two unit slots
@@ -127,38 +138,6 @@ TEST(SolveExact, InfeasibleWhenAppHasNoServer) {
   EXPECT_EQ(sol.unassigned_count, 1u);
 }
 
-TEST(SolveFlow, MatchesExactOnUnitSlotInstances) {
-  AssignmentProblem p = simple_problem(4, 3);
-  p.set_capacity(0, 0, 2.0);
-  p.set_capacity(1, 0, 1.0);
-  p.set_capacity(2, 0, 4.0);
-  ASSERT_TRUE(p.is_unit_slot());
-  const AssignmentSolution flow = solve_flow(p);
-  const AssignmentSolution exact = solve_exact(p);
-  ASSERT_TRUE(flow.feasible);
-  ASSERT_TRUE(exact.feasible);
-  EXPECT_NEAR(flow.total_cost, exact.total_cost, 1e-9);
-}
-
-TEST(UnitSlotDetection, RejectsNonUnitDemand) {
-  AssignmentProblem p = simple_problem(2, 2);
-  p.set_demand(0, 1, 0, 2.0);
-  EXPECT_FALSE(p.is_unit_slot());
-}
-
-TEST(UnitSlotDetection, RejectsFractionalCapacity) {
-  AssignmentProblem p = simple_problem(2, 2);
-  p.set_capacity(0, 0, 1.5);
-  EXPECT_FALSE(p.is_unit_slot());
-}
-
-TEST(UnitSlotDetection, RejectsActivationCosts) {
-  AssignmentProblem p = simple_problem(2, 2);
-  p.set_initially_on(0, false);
-  p.set_activation_cost(0, 1.0);
-  EXPECT_FALSE(p.is_unit_slot());
-}
-
 TEST(SolveGreedy, FeasibleAndReasonable) {
   AssignmentProblem p = simple_problem(5, 3);
   const AssignmentSolution sol = solve_greedy(p);
@@ -198,45 +177,6 @@ TEST(LocalSearch, FixesGreedyMisstep) {
   EXPECT_TRUE(validate(p, sol));
 }
 
-TEST(SolveAuto, UsesFlowForUnitSlot) {
-  AssignmentProblem p = simple_problem(3, 2);
-  const AssignmentSolution sol = solve_auto(p);
-  ASSERT_TRUE(sol.feasible);
-  const AssignmentSolution exact = solve_exact(p);
-  EXPECT_NEAR(sol.total_cost, exact.total_cost, 1e-9);
-  EXPECT_EQ(sol.stats.flow_shards, 1u);
-}
-
-// Regression (fallback bug): solve_auto used to hand back the flow answer
-// unconditionally on unit-slot instances. With an unplaceable app the whole
-// solution came back infeasible-flagged without ever consulting the greedy
-// + local-search fallback the exact path gets. The flow path must now fall
-// back and return an answer that places every placeable app and is never
-// worse than greedy + local search.
-TEST(SolveAuto, FlowPathFallsBackWhenAppsComeBackUnassigned) {
-  AssignmentProblem p = simple_problem(3, 2);
-  p.set_capacity(0, 0, 1.0);
-  p.set_capacity(1, 0, 1.0);
-  p.set_cost(2, 0, kInfinity);  // app 2 has no feasible server at all
-  p.set_cost(2, 1, kInfinity);
-  ASSERT_TRUE(p.is_unit_slot());
-
-  const AssignmentSolution sol = solve_auto(p);
-  EXPECT_FALSE(sol.feasible);
-  EXPECT_EQ(sol.unassigned_count, 1u);
-  EXPECT_NE(sol.assignment[0], kUnassigned);  // placeable apps still land
-  EXPECT_NE(sol.assignment[1], kUnassigned);
-  EXPECT_EQ(sol.assignment[2], kUnassigned);
-
-  // Never worse than the heuristic fallback it now consults.
-  AssignmentSolution heuristic = solve_greedy(p);
-  improve_local_search(p, heuristic);
-  EXPECT_LE(sol.unassigned_count, heuristic.unassigned_count);
-  if (sol.unassigned_count == heuristic.unassigned_count) {
-    EXPECT_LE(sol.total_cost, heuristic.total_cost + 1e-9);
-  }
-}
-
 // Regression (fallback bug): when B&B comes up with no incumbent at all
 // (node budget exhausted before the first integer point, or a numerically
 // stranded warm start — simulated here by rejecting every warm value via a
@@ -258,7 +198,7 @@ TEST(SolveExact, ReturnsGreedyIncumbentWhenSearchComesUpEmpty) {
 }
 
 // Property suite: random multi-resource instances — exact is never worse
-// than greedy+LS, both are valid, flow agrees on unit-slot restrictions.
+// than greedy+LS, and both are valid.
 class RandomAssignment : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomAssignment, SolverHierarchyHolds) {

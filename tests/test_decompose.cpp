@@ -116,9 +116,7 @@ TEST_P(ShardedVsMonolithic, StitchedCostEqualsMonolithicExact) {
   const AssignmentProblem p = block_instance(blocks, 3, 2, seed * 6151 + 13);
 
   const AssignmentSolution mono = solve_exact(p);
-  AssignmentOptions options;
-  options.exact_size_limit = 64;  // every component is testbed scale
-  const AssignmentSolution sharded = solve_sharded(p, options);
+  const AssignmentSolution sharded = solve_auto(p);  // every component is testbed scale
 
   // Random infeasible pairs can split a block further (or strand an app),
   // so the block count is a lower bound; every solved shard must have gone
@@ -135,20 +133,17 @@ TEST_P(ShardedVsMonolithic, StitchedCostEqualsMonolithicExact) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ShardedVsMonolithic, ::testing::Range(0, 30));
 
-// Sharded solve_auto must match the unsharded solve_auto cost exactly when
-// both stay on exact paths, and never do worse when the monolith would have
-// been heuristic.
+// Sharded solve_auto must never do worse than the monolithic heuristic
+// (greedy + local search over the whole batch).
 class ShardedVsUnsharded : public ::testing::TestWithParam<int> {};
 
 TEST_P(ShardedVsUnsharded, AutoCostNeverWorseThanMonolithicAuto) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   const AssignmentProblem p = block_instance(2 + seed % 4, 3, 2, seed * 2953 + 5);
 
-  AssignmentOptions sharded_options;  // defaults: shard = true
-  AssignmentOptions mono_options;
-  mono_options.shard = false;
-  const AssignmentSolution sharded = solve_auto(p, sharded_options);
-  const AssignmentSolution mono = solve_auto(p, mono_options);
+  const AssignmentSolution sharded = solve_auto(p);
+  AssignmentSolution mono = solve_greedy(p);
+  improve_local_search(p, mono);
 
   // Sharding never loses a placement the monolith found (each component is
   // testbed scale here, so every shard solves exactly); the reverse can
@@ -159,7 +154,7 @@ TEST_P(ShardedVsUnsharded, AutoCostNeverWorseThanMonolithicAuto) {
   if (!sharded.feasible) return;
   EXPECT_TRUE(validate(p, sharded)) << "seed " << seed;
   // The sharded answer solves every component exactly, so it can only match
-  // or beat whatever path the monolithic auto picked.
+  // or beat the monolithic heuristic.
   if (mono.feasible) {
     EXPECT_LE(sharded.total_cost, mono.total_cost + 1e-6) << "seed " << seed;
   }
@@ -172,8 +167,7 @@ TEST(SolveSharded, UnplaceableAppsAreIsolatedNotContagious) {
   // off the exact path: the other components still solve and stitch.
   AssignmentProblem p = block_instance(2, 2, 2, 21, /*infeasible_p=*/0.0);
   for (std::size_t j = 0; j < p.num_servers(); ++j) p.set_cost(2, j, kInfinity);
-  AssignmentOptions options;
-  const AssignmentSolution sharded = solve_sharded(p, options);
+  const AssignmentSolution sharded = solve_auto(p);
   EXPECT_FALSE(sharded.feasible);  // the batch as a whole is not fully placed
   EXPECT_EQ(sharded.unassigned_count, 1u);
   EXPECT_EQ(sharded.assignment[2], kUnassigned);
@@ -183,12 +177,11 @@ TEST(SolveSharded, UnplaceableAppsAreIsolatedNotContagious) {
 }
 
 TEST(SolveAuto, ShardingKeepsLargeMultiComponentBatchesExact) {
-  // 6 blocks x (3x2) = 18x12 = 216 pairs: far beyond exact_size_limit as a
-  // monolith, yet every component is 6 pairs. The sharded auto must agree
-  // with the (limit-free) monolithic exact optimum.
+  // 6 blocks x (3x2) = 18x12 = 216 pairs: far beyond solve_auto's
+  // exact-size limit as a monolith, yet every component is 6 pairs. The
+  // sharded auto must agree with the (limit-free) monolithic exact optimum.
   const AssignmentProblem p = block_instance(6, 3, 2, 1234);
-  AssignmentOptions options;  // exact_size_limit = 64, shard = true
-  const AssignmentSolution sharded = solve_auto(p, options);
+  const AssignmentSolution sharded = solve_auto(p);
   const AssignmentSolution exact = solve_exact(p);
   ASSERT_TRUE(exact.feasible);
   ASSERT_TRUE(sharded.feasible);
@@ -198,30 +191,9 @@ TEST(SolveAuto, ShardingKeepsLargeMultiComponentBatchesExact) {
   EXPECT_EQ(sharded.stats.heuristic_shards, 0u);
 }
 
-TEST(SolveAuto, UnitSlotInstancesStayMonolithic) {
-  // Block-diagonal unit-slot instance: flow is already exact, so solve_auto
-  // keeps the monolithic flow path (flow_shards == 1, single component).
-  AssignmentProblem p(4, 4, 1);
-  for (std::size_t b = 0; b < 2; ++b) {
-    for (std::size_t i = 0; i < 2; ++i) {
-      for (std::size_t j = 0; j < 2; ++j) {
-        p.set_cost(2 * b + i, 2 * b + j, static_cast<double>(i + j + 1));
-        p.set_demand(2 * b + i, 2 * b + j, 0, 1.0);
-      }
-    }
-    p.set_capacity(2 * b, 0, 1.0);
-    p.set_capacity(2 * b + 1, 0, 1.0);
-  }
-  ASSERT_TRUE(p.is_unit_slot());
-  const AssignmentSolution sol = solve_auto(p);
-  ASSERT_TRUE(sol.feasible);
-  EXPECT_EQ(sol.stats.components, 1u);
-  EXPECT_EQ(sol.stats.flow_shards, 1u);
-}
-
 TEST(SolveSharded, SingleComponentSpanningProblemSkipsExtraction) {
-  // Fully connected instance: one component covering everything routes
-  // straight through solve_unsharded (stats come back monolithic).
+  // Fully connected instance: one component covering everything is solved
+  // without extraction (stats come back monolithic).
   AssignmentProblem p(2, 2, 1);
   for (std::size_t i = 0; i < 2; ++i) {
     for (std::size_t j = 0; j < 2; ++j) {
@@ -230,7 +202,7 @@ TEST(SolveSharded, SingleComponentSpanningProblemSkipsExtraction) {
     }
     p.set_capacity(i, 0, 2.0);
   }
-  const AssignmentSolution sol = solve_sharded(p, {});
+  const AssignmentSolution sol = solve_auto(p);
   ASSERT_TRUE(sol.feasible);
   EXPECT_EQ(sol.stats.components, 1u);
 }
