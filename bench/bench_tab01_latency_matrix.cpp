@@ -3,31 +3,24 @@
 //
 // Pure geometry — there are no simulation cells to hand to the
 // ScenarioRunner, so this bench is not grid-dispatched; the two region
-// tables are built concurrently on the shared pool and printed in order.
+// tables are printed in order.
 #include "bench_util.hpp"
 
 #include "geo/latency.hpp"
 #include "geo/region.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace carbonedge;
 
 namespace {
 
-struct RegionReport {
-  util::Table table{{"Location"}};
-  std::string takeaway;
-};
-
-RegionReport build_report(const geo::Region& region, const char* table_id) {
+void print_report(const geo::Region& region, const char* table_id) {
   const auto cities = region.resolve();
   const geo::LatencyModel model;
   std::vector<std::string> header = {"Location"};
   for (std::size_t j = 1; j < cities.size(); ++j) header.push_back(cities[j].name);
-  RegionReport report;
-  report.table = util::Table(header);
-  report.table.set_title(std::string(table_id) + ": " + region.name + " one-way latency (ms)");
+  util::Table table(header);
+  table.set_title(std::string(table_id) + ": " + region.name + " one-way latency (ms)");
   double lo = 1e18;
   double hi = 0.0;
   for (std::size_t i = 0; i + 1 < cities.size(); ++i) {
@@ -42,12 +35,12 @@ RegionReport build_report(const geo::Region& region, const char* table_id) {
       hi = std::max(hi, ms);
       row.push_back(util::format_fixed(ms, 2));
     }
-    report.table.add_row(std::move(row));
+    table.add_row(std::move(row));
   }
-  report.takeaway = region.name + " one-way range: " + util::format_fixed(lo, 2) + " - " +
-                    util::format_fixed(hi, 2) +
-                    " ms (paper: 1.86-7.2 Florida, 3.99-16.2 Central EU)";
-  return report;
+  table.print(std::cout);
+  bench::print_takeaway(region.name + " one-way range: " + util::format_fixed(lo, 2) + " - " +
+                        util::format_fixed(hi, 2) +
+                        " ms (paper: 1.86-7.2 Florida, 3.99-16.2 Central EU)");
 }
 
 }  // namespace
@@ -57,14 +50,6 @@ int main() {
 
   const std::vector<std::pair<geo::Region, const char*>> regions = {
       {geo::florida_region(), "Table 1a"}, {geo::central_eu_region(), "Table 1b"}};
-  std::vector<RegionReport> reports(regions.size());
-  util::parallel_for(
-      util::global_pool(), 0, regions.size(),
-      [&](std::size_t i) { reports[i] = build_report(regions[i].first, regions[i].second); },
-      /*chunk=*/1);
-  for (const RegionReport& report : reports) {
-    report.table.print(std::cout);
-    bench::print_takeaway(report.takeaway);
-  }
+  for (const auto& [region, table_id] : regions) print_report(region, table_id);
   return 0;
 }

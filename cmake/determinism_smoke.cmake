@@ -1,9 +1,10 @@
 # Determinism gate: the same workload must emit byte-identical tables no
-# matter how many worker lanes the process is given. Sweep cells are the one
-# parallel layer (each simulation runs serial on its lane), so the probes
-# cover a multi-cell sweep whose cells share lanes, a single cell, and a
-# serve replay, each under CARBONEDGE_THREADS=1 and =4; any byte difference
-# fails. Invoked by CTest (examples.cli_determinism_smoke) and by the CI
+# matter how many worker lanes the process is given. util::parallel_for runs
+# sweep cells (each simulation serial on its lane) and the radius study's
+# per-site trace syntheses, so the probes cover a multi-cell sweep whose
+# cells share lanes, a single cell, a serve replay and the radius study,
+# each under CARBONEDGE_THREADS=1 and =4; any byte difference fails.
+# Invoked by CTest (examples.cli_determinism_smoke) and by the CI
 # determinism-gate step.
 #
 #   cmake -DCLI=<carbonedge_cli> -DOUT_DIR=<scratch> -P determinism_smoke.cmake
@@ -13,8 +14,9 @@ endif()
 
 file(MAKE_DIRECTORY ${OUT_DIR})
 
-# (label, argument list) probes: a grid wider than the budget (cells share
-# lanes) and a single big cell (one serial simulation, whatever the budget).
+# (label, argument list) probes: a grid wider than the lane count (cells
+# share lanes) and a single big cell (one serial simulation, whatever the
+# lane count).
 set(PROBE_sweep "sweep;florida;128")
 # 40-site CDN region. --metrics= puts the obs registry under the gate too:
 # the snapshot's deterministic view is compared separately below (the
@@ -26,12 +28,15 @@ set(PROBE_single "sweep;cdn_us;96;--single;--metrics=${OUT_DIR}/metrics-single-t
 # --metrics-rows interleaves per-window deterministic-view snapshots into
 # those diffed bytes.
 set(PROBE_serve "serve;cdn_us;--replay;--epochs=96;--window-epochs=8;--ema-reopt=load:2500:2000;--export=-;--metrics-rows")
+# Figure 5 radius study: analysis::yearly_means synthesizes one year-long
+# trace per site across the lanes, each into its own slot.
+set(PROBE_radius "radius;100")
 
-foreach(probe sweep single serve)
+foreach(probe sweep single serve radius)
   foreach(threads 1 4)
     string(REPLACE "@THREADS@" "${threads}" args "${PROBE_${probe}}")
     execute_process(
-      # -E env: the worker budget under test reaches the probe process only.
+      # -E env: the lane count under test reaches the probe process only.
       COMMAND ${CMAKE_COMMAND} -E env CARBONEDGE_THREADS=${threads} ${CLI} ${args}
       OUTPUT_FILE ${OUT_DIR}/${probe}-t${threads}.txt
       RESULT_VARIABLE status)
@@ -110,7 +115,7 @@ foreach(probe catalog_radius catalog_sweep)
 endforeach()
 
 # The metrics snapshot's deterministic view is under the same contract: the
-# counts/bytes/invocations it reports must not depend on the worker budget.
+# counts/bytes/invocations it reports must not depend on the lane count.
 # Extract the "deterministic" object from each JSON snapshot (the exporter
 # emits name-ordered keys, so equal objects have equal text) and compare.
 foreach(threads 1 4)

@@ -127,7 +127,7 @@ int usage() {
                "regions: florida west_us italy central_eu cdn_us cdn_eu\n"
                "policies: latency energy intensity carbonedge alpha=<0..1>\n"
                "store dir: CARBONEDGE_STORE_DIR or store --dir <path>\n"
-               "threads: CARBONEDGE_THREADS caps the process worker budget\n"
+               "threads: CARBONEDGE_THREADS sets the worker lanes (sweep cells, radius sites)\n"
                "metrics: --metrics=<file|-> / --metrics-prom=<file|-> on any command\n";
   return 2;
 }
@@ -209,13 +209,12 @@ int cmd_radius(double km) {
 }
 
 int cmd_sweep(const std::string& region_name, std::uint32_t epochs, bool single) {
-  // Deterministic scenario sweep over every engine feature the intra-epoch
-  // shards touch — deferral, monthly + cost-aware re-optimization, failure
-  // injection — printed as the runner's summary table. The output contains
-  // no timings, so two runs with different CARBONEDGE_THREADS must be
-  // byte-identical; the CI determinism gate diffs exactly this. --single
-  // collapses the grid to one CarbonEdge cell, putting the whole worker
-  // budget on intra-simulation sharding.
+  // Deterministic scenario sweep over deferral, monthly + cost-aware
+  // re-optimization and failure injection, printed as the runner's summary
+  // table. The output contains no timings, so two runs with different
+  // CARBONEDGE_THREADS must be byte-identical; the CI determinism gate diffs
+  // exactly this. --single collapses the grid to one CarbonEdge cell, which
+  // runs serial on the caller's thread.
   core::SimulationConfig config;
   config.epochs = epochs;
   config.workload.arrivals_per_site = 1.0;

@@ -59,25 +59,18 @@ BuiltProblem build_problem(const PlacementInput& input, std::span<const sim::App
   }
 
   // Physical matrices over feasible (latency + model-support + fit) pairs.
-  // Per-app site RTTs are gathered once ahead of the server loop: a banded
-  // provider enumerates only the origin's neighborhood (every other site is
-  // +inf, exactly what the Eq. 2 filter drops), so the inner loop does an
-  // array lookup instead of a provider query per server — and the build
-  // stops scaling with n^2 site pairs under sparse geographies.
+  // Per-app site RTTs are gathered once ahead of the server loop from the
+  // origin's neighborhood (every other site is +inf, exactly what the Eq. 2
+  // filter drops), so the inner loop does an array lookup instead of a
+  // provider query per server — and under a banded provider the build stops
+  // scaling with n^2 site pairs.
   const std::size_t num_sites = input.cluster->sites().size();
   std::vector<double> site_rtt(num_sites, kInfinity);
   for (std::size_t i = 0; i < num_apps; ++i) {
     const sim::Application& app = apps[i];
-    const std::span<const std::uint32_t> near = input.latency->neighbors(app.origin_site);
-    if (near.empty()) {
-      for (std::size_t s = 0; s < num_sites; ++s) {
-        site_rtt[s] = 2.0 * input.latency->one_way_ms(app.origin_site, s);
-      }
-    } else {
-      std::fill(site_rtt.begin(), site_rtt.end(), kInfinity);
-      for (const std::uint32_t s : near) {
-        site_rtt[s] = 2.0 * input.latency->one_way_ms(app.origin_site, s);
-      }
+    std::fill(site_rtt.begin(), site_rtt.end(), kInfinity);
+    for (const std::uint32_t s : input.latency->neighbors(app.origin_site)) {
+      site_rtt[s] = 2.0 * input.latency->one_way_ms(app.origin_site, s);
     }
     for (std::size_t j = 0; j < num_servers; ++j) {
       const auto& ref = built.servers[j];

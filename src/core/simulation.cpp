@@ -292,15 +292,11 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
         const std::string& zone = cluster_.sites()[entry.site].zone();
         const double current_rate = carbon_rate_g(entry.app, current, zone);
         double best_rate = current_rate;
-        // A banded provider narrows the scan to the origin's neighborhood;
-        // sites it skips are +inf RTT, i.e. exactly the ones the filter
+        // The scan covers the origin's neighborhood; sites a banded
+        // provider leaves out are +inf RTT, i.e. exactly the ones the filter
         // below would drop, and best_rate is an order-independent min — so
-        // the verdicts match the dense scan bit for bit.
-        const std::span<const std::uint32_t> near =
-            latency_->neighbors(entry.app.origin_site);
-        const std::size_t candidates = near.empty() ? cluster_.size() : near.size();
-        for (std::size_t n = 0; n < candidates; ++n) {
-          const std::size_t site = near.empty() ? n : near[n];
+        // the verdicts match a scan over every site bit for bit.
+        for (const std::size_t site : latency_->neighbors(entry.app.origin_site)) {
           const double rtt = 2.0 * latency_->one_way_ms(entry.app.origin_site, site);
           if (rtt > entry.app.latency_limit_rtt_ms + 1e-9) continue;
           for (const sim::EdgeServer& server : cluster_.sites()[site].servers()) {
@@ -408,10 +404,8 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
       // are skipped.
       // Neighbor prefilter as in the veto scan: candidates stay in
       // ascending site order, so "first feasible" is the same server.
-      const std::span<const std::uint32_t> near = latency_->neighbors(app.origin_site);
-      const std::size_t candidates = near.empty() ? cluster_.size() : near.size();
-      for (std::size_t n = 0; n < candidates && target == nullptr; ++n) {
-        const std::size_t site = near.empty() ? n : near[n];
+      for (const std::size_t site : latency_->neighbors(app.origin_site)) {
+        if (target != nullptr) break;
         if (2.0 * latency_->one_way_ms(app.origin_site, site) >
             app.latency_limit_rtt_ms + 1e-9) {
           continue;

@@ -125,7 +125,7 @@ struct ServerFailureEvent {
 ///
 /// Threading: an engine is single-threaded. Every epoch phase runs in
 /// sequence on the calling thread, as in the paper's simulator; scale comes
-/// from running many engines at once (ScenarioRunner's cell pool), each
+/// from running many engines at once (ScenarioRunner's cell lanes), each
 /// owning its own state.
 class SimulationEngine {
  public:

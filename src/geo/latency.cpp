@@ -1,5 +1,6 @@
 #include "geo/latency.hpp"
 
+#include <numeric>
 #include <stdexcept>
 
 #include "util/random.hpp"
@@ -32,15 +33,27 @@ double LatencyModel::one_way_ms(const City& a, const City& b) const noexcept {
   return params_.base_ms + km / params_.fiber_km_per_ms * inflation;
 }
 
+namespace {
+
+std::vector<std::uint32_t> ascending_sites(std::size_t count) {
+  std::vector<std::uint32_t> sites(count);
+  std::iota(sites.begin(), sites.end(), std::uint32_t{0});
+  return sites;
+}
+
+}  // namespace
+
 LatencyMatrix::LatencyMatrix(std::size_t count, std::vector<double> one_way_values)
-    : count_(count), values_(std::move(one_way_values)) {
+    : count_(count), values_(std::move(one_way_values)), all_sites_(ascending_sites(count)) {
   if (values_.size() != count_ * count_) {
     throw std::invalid_argument("latency matrix: values size must be count^2");
   }
 }
 
 LatencyMatrix::LatencyMatrix(const LatencyModel& model, std::span<const City> cities)
-    : count_(cities.size()), values_(cities.size() * cities.size(), 0.0) {
+    : count_(cities.size()),
+      values_(cities.size() * cities.size(), 0.0),
+      all_sites_(ascending_sites(cities.size())) {
   for (std::size_t i = 0; i < count_; ++i) {
     for (std::size_t j = i + 1; j < count_; ++j) {
       const double ms = model.one_way_ms(cities[i], cities[j]);

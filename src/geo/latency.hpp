@@ -70,16 +70,13 @@ class LatencyProvider {
     return 2.0 * one_way_ms(i, j);
   }
 
-  /// Candidate sites with finite latency from site `i`, indices ascending.
-  /// An empty span means "unconstrained": every site may be finite (the
-  /// dense provider), and callers must fall back to scanning all sites.
-  /// This is a prefilter only — entries may still be infeasible for a given
-  /// RTT limit; it exists so feasibility loops over thousands of sites skip
-  /// the out-of-band majority.
+  /// Candidate sites with finite latency from site `i`, indices ascending;
+  /// every site outside the list is +infinity. The dense provider lists all
+  /// sites. This is a prefilter only — entries may still be infeasible for
+  /// a given RTT limit; it exists so feasibility loops over thousands of
+  /// sites skip the out-of-band majority.
   [[nodiscard]] virtual std::span<const std::uint32_t> neighbors(
-      std::size_t /*i*/) const noexcept {
-    return {};
-  }
+      std::size_t i) const noexcept = 0;
 
  protected:
   LatencyProvider() = default;
@@ -101,10 +98,16 @@ class LatencyMatrix final : public LatencyProvider {
     return values_[i * count_ + j];
   }
   [[nodiscard]] std::size_t size() const noexcept override { return count_; }
+  /// Every site, 0..size()-1: one list shared by all rows.
+  [[nodiscard]] std::span<const std::uint32_t> neighbors(
+      std::size_t /*i*/) const noexcept override {
+    return all_sites_;
+  }
 
  private:
   std::size_t count_ = 0;
   std::vector<double> values_;
+  std::vector<std::uint32_t> all_sites_;
 };
 
 }  // namespace carbonedge::geo

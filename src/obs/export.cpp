@@ -116,16 +116,17 @@ void collect_process_gauges() {
   // Lane counts follow CARBONEDGE_THREADS — execution shape, never part of
   // the deterministic view.
   static Gauge& total_lanes = registry.gauge(
-      "process.budget.total_lanes", "worker lanes in the process budget", View::kTiming);
+      "process.budget.total_lanes", "worker lanes configured by CARBONEDGE_THREADS",
+      View::kTiming);
   static Gauge& peak_lanes = registry.gauge(
-      "process.budget.peak_lanes", "high-water mark of concurrently leased lanes",
+      "process.budget.peak_lanes", "largest thread count any parallel_for call used",
       View::kTiming);
   static Gauge& host_reads = registry.gauge(
       "process.env.host_reads", "distinct host environment reads through util::env",
       View::kDeterministic);
-  const util::ParallelismBudget& budget = util::global_budget();
-  total_lanes.set(static_cast<double>(budget.total()));
-  peak_lanes.set(static_cast<double>(budget.peak_lanes()));
+  const util::LaneRecord& lanes = util::global_budget();
+  total_lanes.set(static_cast<double>(lanes.total()));
+  peak_lanes.set(static_cast<double>(lanes.peak_lanes()));
   host_reads.set(static_cast<double>(util::env::host_reads()));
 }
 

@@ -17,10 +17,10 @@
 namespace carbonedge::obs {
 
 /// Refresh the process-level gauges that are sampled rather than pushed:
-/// worker-budget lane counts (timing view — they follow CARBONEDGE_THREADS)
-/// and the env shim's host-read count (deterministic). Registers them on
-/// first call; snapshot_json/snapshot_prometheus call this automatically
-/// when rendering the global registry.
+/// the configured and peak lane counts (timing view — they follow
+/// CARBONEDGE_THREADS) and the env shim's host-read count (deterministic).
+/// Registers them on first call; snapshot_json/snapshot_prometheus call this
+/// automatically when rendering the global registry.
 void collect_process_gauges();
 
 /// The whole registry as one JSON document. include_timing=false drops the

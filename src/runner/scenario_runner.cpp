@@ -16,7 +16,6 @@
 #include "sim/server.hpp"
 #include "util/parallelism.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 
 namespace carbonedge::runner {
 
@@ -115,9 +114,8 @@ std::vector<ScenarioOutcome> ScenarioRunner::run(std::vector<Scenario> scenarios
     cell_services[i] = slot.get();
   }
 
-  // Cells lease their workers from the process budget, one lane per
-  // concurrently running cell; each cell's simulation runs serial on its
-  // lane.
+  // One lane per concurrently running cell; each cell's simulation runs
+  // serial on its lane.
   const auto body = [&](std::size_t p) {
     const std::size_t i = pending[p];
     core::EdgeSimulation simulation(build_cluster(scenarios[i]), *cell_services[i],
@@ -129,16 +127,9 @@ std::vector<ScenarioOutcome> ScenarioRunner::run(std::vector<Scenario> scenarios
       options_.sweep_store->save(scenarios[i], slots[i]);
     }
   };
-  const std::size_t want = options_.threads != 0 ? options_.threads : pending.size();
-  const util::ParallelismBudget::Lease lease = util::global_budget().acquire(want);
-  // An explicit worker count wins over what the lease grants.
-  const std::size_t workers = options_.threads != 0 ? options_.threads : lease.lanes();
-  if (workers <= 1) {
-    for (std::size_t p = 0; p < pending.size(); ++p) body(p);
-  } else {
-    util::ThreadPool pool(workers);
-    util::parallel_for(pool, 0, pending.size(), body, /*chunk=*/1);
-  }
+  const std::size_t lanes =
+      options_.threads != 0 ? options_.threads : util::configured_thread_count();
+  util::parallel_for(lanes, pending.size(), body);
 
   std::vector<ScenarioOutcome> outcomes;
   outcomes.reserve(scenarios.size());

@@ -1,8 +1,8 @@
-// Parallel scenario-sweep runner — the project's one parallel layer.
+// Parallel scenario-sweep runner — the layer the project's scale comes from.
 //
-// Expands a ScenarioGrid and dispatches one EdgeSimulation::run per cell
-// onto a util::ThreadPool; each run is serial on its lane. Every task
-// writes into its own pre-sized result slot (no locks, no shared mutable
+// Expands a ScenarioGrid and runs one EdgeSimulation::run per cell through
+// util::parallel_for, one cell per lane; each simulation is serial. Every
+// cell writes into its own pre-sized result slot (no locks, no shared mutable
 // state: each cell builds its own cluster and simulation; carbon services
 // are synthesized once per distinct region before dispatch and only read
 // concurrently), so the aggregate is bit-identical no matter how many
@@ -57,10 +57,9 @@ class CellCache {
 };
 
 struct ScenarioRunnerOptions {
-  /// Worker threads for the sweep. 0 (the default) leases one lane per
-  /// concurrently running cell from the process worker budget
-  /// (util::global_budget(), sized by CARBONEDGE_THREADS); a nonzero value
-  /// forces exactly that many cell workers.
+  /// Cell lanes for the sweep: at most this many cells run at once, one
+  /// thread each. 0 (the default) uses CARBONEDGE_THREADS
+  /// (util::configured_thread_count()).
   std::size_t threads = 0;
   /// Persistent sweep-cell cache (store::SweepStore, via the CellCache
   /// seam). When set, cells already in the cache are loaded instead of

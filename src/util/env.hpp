@@ -2,7 +2,7 @@
 // call std::getenv (lint rule D5).
 //
 // Environment variables are process inputs that can silently change behavior
-// (CARBONEDGE_THREADS sizes the worker budget, CARBONEDGE_STORE_DIR attaches
+// (CARBONEDGE_THREADS sets the lane count, CARBONEDGE_STORE_DIR attaches
 // the persistent store), so every read is funneled through here: one audited
 // call point, and each variable is read from the host environment at most
 // once per process. The first lookup snapshots the value; later setenv()

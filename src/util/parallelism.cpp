@@ -1,20 +1,35 @@
 #include "util/parallelism.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
+#include <exception>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
+#include <vector>
 
 #include "util/env.hpp"
 
 namespace carbonedge::util {
 
+namespace {
+
+LaneRecord& lane_record() {
+  static LaneRecord record;
+  return record;
+}
+
+}  // namespace
+
 std::size_t parse_thread_count(const char* value) noexcept {
   if (value != nullptr) {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(value, &end, 10);
-    if (end != value && *end == '\0' && parsed > 0) return static_cast<std::size_t>(parsed);
+    // from_chars takes decimal digits only: no sign, no whitespace.
+    const std::string_view text(value);
+    std::size_t parsed = 0;
+    const auto [end, error] = std::from_chars(text.data(), text.data() + text.size(), parsed);
+    if (error == std::errc{} && end == text.data() + text.size() && parsed > 0) return parsed;
   }
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
@@ -24,57 +39,51 @@ std::size_t configured_thread_count() {
   return parse_thread_count(value.has_value() ? value->c_str() : nullptr);
 }
 
-ParallelismBudget::ParallelismBudget(std::size_t total_lanes)
-    : total_(total_lanes == 0 ? 1 : total_lanes) {
-  extra_available_.store(total_ - 1, std::memory_order_relaxed);
-}
-
-ParallelismBudget::Lease& ParallelismBudget::Lease::operator=(Lease&& other) noexcept {
-  if (this != &other) {
-    release();
-    budget_ = other.budget_;
-    extra_ = other.extra_;
-    other.budget_ = nullptr;
-    other.extra_ = 0;
+void parallel_for(std::size_t lanes, std::size_t n,
+                  const std::function<void(std::size_t)>& body) {
+  if (lanes <= 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+    return;
   }
-  return *this;
-}
+  const std::size_t thread_count = std::min(lanes, n);
+  lane_record().record(thread_count);
 
-void ParallelismBudget::Lease::release() noexcept {
-  if (budget_ != nullptr && extra_ > 0) budget_->release_extra(extra_);
-  budget_ = nullptr;
-  extra_ = 0;
-}
-
-ParallelismBudget::Lease ParallelismBudget::acquire(std::size_t want_lanes) noexcept {
-  const std::size_t want_extra = want_lanes > 1 ? want_lanes - 1 : 0;
-  std::size_t granted = 0;
-  std::size_t available = extra_available_.load(std::memory_order_relaxed);
-  while (granted < want_extra && available > 0) {
-    const std::size_t take = std::min(want_extra, available);
-    if (extra_available_.compare_exchange_weak(available, available - take,
-                                               std::memory_order_acq_rel,
-                                               std::memory_order_relaxed)) {
-      granted = take;
-      break;
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::exception_ptr first_error;  // written once, by the thread that set `failed`
+  const auto work = [&] {
+    while (!failed.load()) {
+      const std::size_t i = next.fetch_add(1);
+      if (i >= n) return;
+      try {
+        body(i);
+      } catch (...) {
+        if (!failed.exchange(true)) first_error = std::current_exception();
+      }
     }
+  };
+
+  std::vector<std::thread> threads;
+  threads.reserve(thread_count);
+  try {
+    for (std::size_t t = 0; t < thread_count; ++t) threads.emplace_back(work);
+  } catch (...) {
+    // Could not spawn a thread: stop the ones running, then report.
+    failed.store(true);
+    for (std::thread& thread : threads) thread.join();
+    throw;
   }
-  // High-water mark of the root lane plus every extra lane out on lease.
-  const std::size_t in_use = 1 + (total_ - 1 - extra_available_.load(std::memory_order_relaxed));
+  for (std::thread& thread : threads) thread.join();
+  if (first_error) std::rethrow_exception(first_error);
+}
+
+void LaneRecord::record(std::size_t lanes) noexcept {
   std::size_t peak = peak_lanes_.load(std::memory_order_relaxed);
-  while (in_use > peak &&
-         !peak_lanes_.compare_exchange_weak(peak, in_use, std::memory_order_relaxed)) {
+  while (lanes > peak &&
+         !peak_lanes_.compare_exchange_weak(peak, lanes, std::memory_order_relaxed)) {
   }
-  return Lease(this, granted);
 }
 
-void ParallelismBudget::release_extra(std::size_t extra) noexcept {
-  extra_available_.fetch_add(extra, std::memory_order_acq_rel);
-}
-
-ParallelismBudget& global_budget() {
-  static ParallelismBudget budget(configured_thread_count());
-  return budget;
-}
+const LaneRecord& global_budget() { return lane_record(); }
 
 }  // namespace carbonedge::util

@@ -1,24 +1,26 @@
-// Process-wide worker budget.
+// The process's one parallel primitive, and the lane record it keeps.
 //
-// CarbonEdge parallelizes at one layer: ScenarioRunner runs sweep cells
-// concurrently, one serial simulation per lane. The runner leases its cell
-// lanes from this budget, sized by CARBONEDGE_THREADS, so by default the
-// process runs no more cells at once than configured; the obs export
-// reports the lane high-water mark.
+// CarbonEdge parallelizes only where a measurement shows it pays:
+// ScenarioRunner runs sweep cells concurrently (one serial simulation per
+// lane) and analysis::yearly_means synthesizes sites concurrently. Both call
+// parallel_for with a lane count that defaults to CARBONEDGE_THREADS; the
+// obs export reports the lane high-water mark from global_budget().
 //
-// The budget bounds throughput only. Each cell's result is a pure function
-// of its scenario, so CARBONEDGE_THREADS=1 and =64 produce the same tables
-// (enforced by the determinism-gate CI job).
+// Lanes bound throughput only. Every item writes its own pre-sized slot, so
+// CARBONEDGE_THREADS=1 and =64 produce the same tables (enforced by the
+// determinism-gate CI job).
 #pragma once
 
 #include <atomic>
 #include <cstddef>
+#include <functional>
 
 namespace carbonedge::util {
 
-/// Parses a CARBONEDGE_THREADS-style value: a positive integer wins,
-/// anything else (null, empty, zero, garbage, trailing junk) falls back to
-/// hardware concurrency (at least 1).
+/// Parses a CARBONEDGE_THREADS-style value: a positive integer spelled in
+/// decimal digits only wins; anything else (null, empty, zero, a sign,
+/// whitespace, garbage, trailing junk, overflow) falls back to hardware
+/// concurrency (at least 1).
 [[nodiscard]] std::size_t parse_thread_count(const char* value) noexcept;
 
 /// Total worker lanes the process should use: parse_thread_count applied to
@@ -26,68 +28,34 @@ namespace carbonedge::util {
 /// the util::env shim.
 [[nodiscard]] std::size_t configured_thread_count();
 
-class ParallelismBudget {
+/// Runs body(i) for every i in [0, n). With lanes <= 1 or n <= 1 the calls
+/// run inline on the caller's thread, in ascending order. Otherwise
+/// min(lanes, n) fresh threads take indices in ascending order from one
+/// shared counter while the caller only waits; after the first exception no
+/// thread takes a new index, and that exception is rethrown once every
+/// thread has joined. Each call owns its threads, so nested calls are safe.
+void parallel_for(std::size_t lanes, std::size_t n,
+                  const std::function<void(std::size_t)>& body);
+
+/// Passive record of the process's lane usage, read by the obs export and
+/// the perf harness.
+class LaneRecord {
  public:
-  /// A budget of `total_lanes` concurrent execution lanes (>= 1). One lane
-  /// is implicitly owned by whichever thread enters a parallel layer first,
-  /// so `total_lanes - 1` extra lanes are grantable.
-  explicit ParallelismBudget(std::size_t total_lanes);
-
-  ParallelismBudget(const ParallelismBudget&) = delete;
-  ParallelismBudget& operator=(const ParallelismBudget&) = delete;
-
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  /// Extra lanes a call to acquire() could be granted right now.
-  [[nodiscard]] std::size_t available() const noexcept {
-    return extra_available_.load(std::memory_order_relaxed);
-  }
-  /// High-water mark of concurrent lanes: the root caller's own lane plus
-  /// every extra lane out on lease at the same moment. Starts at 1 (the
-  /// root lane) and never exceeds total(), assuming one entry thread.
+  /// Lanes the process is configured for (configured_thread_count()).
+  [[nodiscard]] std::size_t total() const { return configured_thread_count(); }
+  /// Largest thread count any parallel_for call has used; 1 until one runs
+  /// in parallel.
   [[nodiscard]] std::size_t peak_lanes() const noexcept {
     return peak_lanes_.load(std::memory_order_relaxed);
   }
-
-  /// RAII grant of execution lanes. lanes() >= 1 always: the caller's own
-  /// thread is a lane no budget can refuse, so a depleted budget degrades a
-  /// layer to serial inline execution rather than blocking it.
-  class Lease {
-   public:
-    Lease() = default;
-    Lease(Lease&& other) noexcept : budget_(other.budget_), extra_(other.extra_) {
-      other.budget_ = nullptr;
-      other.extra_ = 0;
-    }
-    Lease& operator=(Lease&& other) noexcept;
-    ~Lease() { release(); }
-
-    /// Concurrent lanes this lease permits (1 = run serial inline).
-    [[nodiscard]] std::size_t lanes() const noexcept { return 1 + extra_; }
-
-   private:
-    friend class ParallelismBudget;
-    Lease(ParallelismBudget* budget, std::size_t extra) : budget_(budget), extra_(extra) {}
-    void release() noexcept;
-
-    ParallelismBudget* budget_ = nullptr;
-    std::size_t extra_ = 0;
-  };
-
-  /// Lease up to `want_lanes` concurrent lanes: the caller's own lane plus
-  /// as many of the remaining `want_lanes - 1` as are available. Never
-  /// blocks and never grants zero — exhaustion means lanes() == 1.
-  [[nodiscard]] Lease acquire(std::size_t want_lanes) noexcept;
+  /// Raises peak_lanes() to `lanes` if it is lower.
+  void record(std::size_t lanes) noexcept;
 
  private:
-  void release_extra(std::size_t extra) noexcept;
-
-  std::size_t total_ = 1;
-  std::atomic<std::size_t> extra_available_{0};
   std::atomic<std::size_t> peak_lanes_{1};
 };
 
-/// The process-wide budget ScenarioRunner leases its cell lanes from; sized
-/// by configured_thread_count() on first use.
-[[nodiscard]] ParallelismBudget& global_budget();
+/// The process-wide record every parallel_for call reports to.
+[[nodiscard]] const LaneRecord& global_budget();
 
 }  // namespace carbonedge::util

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -70,9 +72,14 @@ TEST(BandedLatency, DenseProviderAdvertisesUnconstrainedNeighbors) {
   const std::vector<City> cities = florida_region().resolve();
   const LatencyMatrix dense(LatencyModel{}, cities);
   const LatencyProvider& provider = dense;
-  // Empty span = "scan everything": the contract the simulation's fallback
-  // paths rely on.
-  EXPECT_TRUE(provider.neighbors(0).empty());
+  // Every row lists every site, ascending: the dense provider constrains
+  // nothing, so neighbor-driven scans visit all sites in site order.
+  std::vector<std::uint32_t> all_sites(cities.size());
+  std::iota(all_sites.begin(), all_sites.end(), std::uint32_t{0});
+  for (std::size_t i = 0; i < provider.size(); ++i) {
+    const auto row = provider.neighbors(i);
+    EXPECT_EQ(std::vector<std::uint32_t>(row.begin(), row.end()), all_sites);
+  }
   EXPECT_EQ(provider.rtt_ms(0, 1), 2.0 * provider.one_way_ms(0, 1));
 }
 
