@@ -28,22 +28,14 @@ PlacementResult PlacementService::place(const PlacementInput& input,
   result.objective = solution.total_cost;
   result.solver_stats = solution.stats;
 
-  // Commit: power on activated servers first (Eq. 5), then host.
+  // Commit: power on activated servers first (Eq. 5), then host. solve_auto
+  // answers with evaluate()'s power states, where an initially-off server
+  // is on only when it received an app.
   for (std::size_t j = 0; j < built.servers.size(); ++j) {
     sim::EdgeServer& server = *built.servers[j].server;
-    if (!server.powered_on() && !solution.powered_on.empty() && solution.powered_on[j]) {
-      // Only power on servers that actually received load.
-      bool used = false;
-      for (std::size_t i = 0; i < apps.size(); ++i) {
-        if (solution.assignment[i] == j) {
-          used = true;
-          break;
-        }
-      }
-      if (used) {
-        server.set_powered_on(true);
-        result.activated.push_back(j);
-      }
+    if (!server.powered_on() && solution.powered_on[j]) {
+      server.set_powered_on(true);
+      result.activated.push_back(j);
     }
   }
 
@@ -66,10 +58,10 @@ PlacementResult PlacementService::place(const PlacementInput& input,
     decision.app = apps[i].id;
     decision.site = ref.site;
     decision.server = ref.server->id();
-    const std::size_t cell = built.index(i, j);
-    decision.rtt_ms = built.rtt_ms[cell];
-    decision.energy_wh = built.energy_wh[cell];
-    decision.carbon_g = built.carbon_g[cell];
+    const std::size_t pair = built.problem.find(i, j);
+    decision.rtt_ms = built.rtt_ms[pair];
+    decision.energy_wh = built.energy_wh[pair];
+    decision.carbon_g = built.carbon_g[pair];
     result.decisions.push_back(decision);
   }
   return result;

@@ -1,6 +1,8 @@
 // Placement problem construction: turns cluster state + carbon forecasts +
 // latency matrix + a policy into a solver::AssignmentProblem (the Eq. 1-7
-// model after Algorithm 1's latency pre-filtering).
+// model after Algorithm 1's latency pre-filtering). Only pairs that pass
+// the filter exist: the problem's pair list and the physical quantities
+// behind each pair's cost share one pair index.
 #pragma once
 
 #include <vector>
@@ -25,25 +27,17 @@ struct PlacementInput {
   double epoch_hours = 1.0;                  // energy integration window
 };
 
-/// The built problem plus the physical matrices behind the policy costs,
+/// The built problem plus the physical quantities behind the policy costs,
 /// kept for accounting and for the multi-objective normalization.
 struct BuiltProblem {
   solver::AssignmentProblem problem{0, 0, 1};
-  std::vector<sim::EdgeCluster::ServerRef> servers;  // column order
-  // Row-major [app x server] physical quantities (kInfinity where
-  // infeasible): per-epoch dynamic energy (Wh), operational carbon (g), and
-  // network round-trip (ms).
+  std::vector<sim::EdgeCluster::ServerRef> servers;  // server index order
+  // Per pair of `problem` (same index): network round-trip (ms), per-epoch
+  // dynamic energy (Wh) and operational carbon (g).
+  std::vector<double> rtt_ms;
   std::vector<double> energy_wh;
   std::vector<double> carbon_g;
-  std::vector<double> rtt_ms;
-  // Per-server (column) activation quantities for initially-off servers.
-  std::vector<double> activation_energy_wh;
-  std::vector<double> activation_carbon_g;
-  std::vector<double> mean_intensity;  // Ī per server column
-
-  [[nodiscard]] std::size_t index(std::size_t app, std::size_t server) const noexcept {
-    return app * servers.size() + server;
-  }
+  std::vector<double> mean_intensity;  // Ī per server
 };
 
 /// Build the assignment problem for a batch of applications under `policy`.

@@ -1,6 +1,8 @@
 #include "solver/assignment.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -66,19 +68,36 @@ AssignmentProblem::AssignmentProblem(std::size_t num_apps, std::size_t num_serve
     : num_apps_(num_apps),
       num_servers_(num_servers),
       num_resources_(num_resources == 0 ? 1 : num_resources),
-      cost_(num_apps * num_servers, kInfinity),
-      demand_(num_apps * num_servers * num_resources_, 0.0),
       capacity_(num_servers * num_resources_, 0.0),
       activation_cost_(num_servers, 0.0),
       initially_on_(num_servers, 1) {}
 
-void AssignmentProblem::set_cost(std::size_t app, std::size_t server, double cost) {
-  cost_[app * num_servers_ + server] = cost;
+void AssignmentProblem::add_pair(std::size_t app, std::size_t server, double cost,
+                                 std::span<const double> demands) {
+  if (app >= num_apps_ || server >= num_servers_) {
+    throw std::invalid_argument("assignment pair index out of range");
+  }
+  // row_begin_.size() - 1 is the app of the last pair.
+  if (!pair_server_.empty() && (app + 1 < row_begin_.size() ||
+                                (app + 1 == row_begin_.size() && server <= pair_server_.back()))) {
+    throw std::invalid_argument("assignment pairs must be added in ascending (app, server) order");
+  }
+  if (!std::isfinite(cost)) throw std::invalid_argument("assignment pair cost must be finite");
+  if (demands.size() != num_resources_) {
+    throw std::invalid_argument("assignment pair needs one demand per resource");
+  }
+  while (row_begin_.size() <= app) row_begin_.push_back(num_pairs());
+  pair_server_.push_back(server);
+  pair_cost_.push_back(cost);
+  pair_demand_.insert(pair_demand_.end(), demands.begin(), demands.end());
 }
 
-void AssignmentProblem::set_demand(std::size_t app, std::size_t server, std::size_t resource,
-                                   double demand) {
-  demand_[(app * num_servers_ + server) * num_resources_ + resource] = demand;
+std::size_t AssignmentProblem::find(std::size_t app, std::size_t server) const noexcept {
+  const auto first = pair_server_.begin() + static_cast<std::ptrdiff_t>(row_start(app));
+  const auto last = pair_server_.begin() + static_cast<std::ptrdiff_t>(row_start(app + 1));
+  const auto it = std::lower_bound(first, last, server);
+  if (it == last || *it != server) return kNoPair;
+  return static_cast<std::size_t>(it - pair_server_.begin());
 }
 
 void AssignmentProblem::set_capacity(std::size_t server, std::size_t resource, double capacity) {
@@ -111,7 +130,8 @@ AssignmentSolution evaluate(const AssignmentProblem& problem,
       continue;
     }
     if (j >= problem.num_servers()) continue;  // validate() below rejects it
-    total += problem.cost(i, j);
+    const std::size_t pair = problem.find(i, j);
+    total += pair == kNoPair ? kInfinity : problem.cost(pair);
     if (!solution.powered_on[j]) {
       solution.powered_on[j] = 1;
       total += problem.activation_cost(j);
@@ -124,22 +144,22 @@ AssignmentSolution evaluate(const AssignmentProblem& problem,
 
 bool validate(const AssignmentProblem& problem, const AssignmentSolution& solution, double tol) {
   if (solution.assignment.size() != problem.num_apps()) return false;
+  const bool has_power = !solution.powered_on.empty();
+  if (has_power && solution.powered_on.size() != problem.num_servers()) return false;
   std::vector<double> load(problem.num_servers() * problem.num_resources(), 0.0);
   for (std::size_t i = 0; i < problem.num_apps(); ++i) {
     const std::size_t j = solution.assignment[i];
     if (j == kUnassigned) continue;
-    if (j >= problem.num_servers()) return false;
-    if (!problem.feasible_pair(i, j)) return false;  // Eq. 2 (latency) encoded as inf cost
-    if (!solution.powered_on.empty() && !solution.powered_on[j]) return false;  // Eq. 5
+    const std::size_t pair = problem.find(i, j);
+    if (pair == kNoPair) return false;  // out of range, or Eq. 2 (latency) filtered
+    if (has_power && !solution.powered_on[j]) return false;  // Eq. 5
     for (std::size_t k = 0; k < problem.num_resources(); ++k) {
-      load[j * problem.num_resources() + k] += problem.demand(i, j, k);
+      load[j * problem.num_resources() + k] += problem.demand(pair, k);
     }
   }
   for (std::size_t j = 0; j < problem.num_servers(); ++j) {
     // Eq. 4: initially-on servers stay on.
-    if (!solution.powered_on.empty() && problem.initially_on(j) && !solution.powered_on[j]) {
-      return false;
-    }
+    if (has_power && problem.initially_on(j) && !solution.powered_on[j]) return false;
     for (std::size_t k = 0; k < problem.num_resources(); ++k) {
       if (load[j * problem.num_resources() + k] > problem.capacity(j, k) + tol) {
         return false;  // Eq. 1
@@ -157,26 +177,37 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const MilpOptio
   const obs::Span span(milp_phase());
   const std::size_t apps = problem.num_apps();
   const std::size_t servers = problem.num_servers();
+  const std::size_t resources = problem.num_resources();
+
+  std::size_t unplaceable = 0;
+  for (std::size_t i = 0; i < apps; ++i) unplaceable += problem.row(i).empty() ? 1 : 0;
+  if (unplaceable > 0) {
+    // Eq. 3 cannot hold, so the MILP is never built and exact_shards stays 0.
+    // Only the sharded path isolates each unplaceable app as a component.
+    AssignmentSolution infeasible;
+    infeasible.assignment.assign(apps, kUnassigned);
+    infeasible.unassigned_count = apps;
+    infeasible.stats.components = 1;
+    infeasible.stats.unplaceable_apps = unplaceable;
+    return infeasible;
+  }
 
   LinearProgram lp;
   std::vector<int> integer_vars;
-  // Variable maps: x_var[i][j] >= 0 only for feasible pairs; y_var[j] only
-  // for initially-off servers with at least one feasible pair.
-  std::vector<std::vector<int>> x_var(apps, std::vector<int>(servers, -1));
-  std::vector<int> y_var(servers, -1);
-
-  for (std::size_t i = 0; i < apps; ++i) {
-    for (std::size_t j = 0; j < servers; ++j) {
-      if (!problem.feasible_pair(i, j)) continue;
-      x_var[i][j] = lp.add_variable(problem.cost(i, j), 0.0, 1.0);
-      integer_vars.push_back(x_var[i][j]);
+  // Variable p is x for pair p. Eq. 1 terms per (server, resource) are
+  // gathered in pair order, so each lists its apps in ascending order.
+  std::vector<std::vector<std::pair<int, double>>> capacity_terms(servers * resources);
+  for (std::size_t p = 0; p < problem.num_pairs(); ++p) {
+    integer_vars.push_back(lp.add_variable(problem.cost(p), 0.0, 1.0));
+    for (std::size_t k = 0; k < resources; ++k) {
+      capacity_terms[problem.server(p) * resources + k].emplace_back(static_cast<int>(p),
+                                                                     problem.demand(p, k));
     }
   }
+  // y_var[j] exists only for initially-off servers with at least one pair.
+  std::vector<int> y_var(servers, -1);
   for (std::size_t j = 0; j < servers; ++j) {
-    if (problem.initially_on(j)) continue;
-    bool any = false;
-    for (std::size_t i = 0; i < apps && !any; ++i) any = x_var[i][j] >= 0;
-    if (!any) continue;
+    if (problem.initially_on(j) || capacity_terms[j * resources].empty()) continue;
     y_var[j] = lp.add_variable(problem.activation_cost(j), 0.0, 1.0);
     integer_vars.push_back(y_var[j]);
   }
@@ -184,34 +215,13 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const MilpOptio
   // Eq. 3: each app placed exactly once.
   for (std::size_t i = 0; i < apps; ++i) {
     std::vector<std::pair<int, double>> terms;
-    for (std::size_t j = 0; j < servers; ++j) {
-      if (x_var[i][j] >= 0) terms.emplace_back(x_var[i][j], 1.0);
-    }
-    if (terms.empty()) {
-      AssignmentSolution infeasible;
-      infeasible.assignment.assign(apps, kUnassigned);
-      infeasible.unassigned_count = apps;
-      // No shard was actually solved (the MILP was never built), so
-      // exact_shards stays 0. This monolithic path reports one component
-      // regardless of how many apps are unplaceable; only the sharded path
-      // isolates each unplaceable app as its own singleton component.
-      infeasible.stats.components = 1;
-      for (std::size_t a = 0; a < apps; ++a) {
-        bool any = false;
-        for (std::size_t j = 0; j < servers && !any; ++j) any = problem.feasible_pair(a, j);
-        if (!any) ++infeasible.stats.unplaceable_apps;
-      }
-      return infeasible;  // some app has no feasible server at all
-    }
+    for (const std::size_t p : problem.row(i)) terms.emplace_back(static_cast<int>(p), 1.0);
     lp.add_constraint(std::move(terms), Sense::kEqual, 1.0);
   }
   // Eq. 1: capacity per server/resource, gated by y for off servers.
   for (std::size_t j = 0; j < servers; ++j) {
-    for (std::size_t k = 0; k < problem.num_resources(); ++k) {
-      std::vector<std::pair<int, double>> terms;
-      for (std::size_t i = 0; i < apps; ++i) {
-        if (x_var[i][j] >= 0) terms.emplace_back(x_var[i][j], problem.demand(i, j, k));
-      }
+    for (std::size_t k = 0; k < resources; ++k) {
+      std::vector<std::pair<int, double>> terms = capacity_terms[j * resources + k];
       if (terms.empty()) continue;
       if (y_var[j] >= 0) {
         terms.emplace_back(y_var[j], -problem.capacity(j, k));
@@ -226,9 +236,8 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const MilpOptio
     // per-pair rows are the tightest linear linking and make incumbent
     // pruning bite far earlier (fewer B&B nodes per exact solve).
     if (y_var[j] >= 0) {
-      for (std::size_t i = 0; i < apps; ++i) {
-        if (x_var[i][j] < 0) continue;
-        lp.add_constraint({{x_var[i][j], 1.0}, {y_var[j], -1.0}}, Sense::kLessEqual, 0.0);
+      for (const auto& term : capacity_terms[j * resources]) {
+        lp.add_constraint({{term.first, 1.0}, {y_var[j], -1.0}}, Sense::kLessEqual, 0.0);
       }
     }
   }
@@ -240,8 +249,8 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const MilpOptio
     improve_local_search(problem, greedy);
     std::vector<double> values(lp.num_variables(), 0.0);
     for (std::size_t i = 0; i < apps; ++i) {
-      const std::size_t j = greedy.assignment[i];
-      if (j != kUnassigned && x_var[i][j] >= 0) values[static_cast<std::size_t>(x_var[i][j])] = 1.0;
+      const std::size_t p = problem.find(i, greedy.assignment[i]);
+      if (p != kNoPair) values[p] = 1.0;
     }
     for (std::size_t j = 0; j < servers; ++j) {
       if (y_var[j] >= 0 && greedy.powered_on[j]) values[static_cast<std::size_t>(y_var[j])] = 1.0;
@@ -272,9 +281,9 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const MilpOptio
 
   std::vector<std::size_t> assignment(apps, kUnassigned);
   for (std::size_t i = 0; i < apps; ++i) {
-    for (std::size_t j = 0; j < servers; ++j) {
-      if (x_var[i][j] >= 0 && milp.values[static_cast<std::size_t>(x_var[i][j])] > 0.5) {
-        assignment[i] = j;
+    for (const std::size_t p : problem.row(i)) {
+      if (milp.values[p] > 0.5) {
+        assignment[i] = problem.server(p);
         break;
       }
     }
@@ -295,12 +304,10 @@ namespace {
 struct GreedyState {
   std::vector<double> remaining;       // server x resource
   std::vector<std::uint8_t> planned_on;
-  std::vector<std::size_t> load_count;  // apps per server
 
   explicit GreedyState(const AssignmentProblem& p)
       : remaining(p.num_servers() * p.num_resources()),
-        planned_on(p.num_servers()),
-        load_count(p.num_servers(), 0) {
+        planned_on(p.num_servers()) {
     for (std::size_t j = 0; j < p.num_servers(); ++j) {
       planned_on[j] = p.initially_on(j) ? 1 : 0;
       for (std::size_t k = 0; k < p.num_resources(); ++k) {
@@ -309,26 +316,26 @@ struct GreedyState {
     }
   }
 
-  [[nodiscard]] bool fits(const AssignmentProblem& p, std::size_t i, std::size_t j) const {
+  [[nodiscard]] bool fits(const AssignmentProblem& p, std::size_t pair) const {
+    const std::size_t j = p.server(pair);
     for (std::size_t k = 0; k < p.num_resources(); ++k) {
-      if (p.demand(i, j, k) > remaining[j * p.num_resources() + k] + 1e-9) return false;
+      if (p.demand(pair, k) > remaining[j * p.num_resources() + k] + 1e-9) return false;
     }
     return true;
   }
 
-  [[nodiscard]] double effective_cost(const AssignmentProblem& p, std::size_t i,
-                                      std::size_t j) const {
-    double c = p.cost(i, j);
-    if (!planned_on[j]) c += p.activation_cost(j);
+  [[nodiscard]] double effective_cost(const AssignmentProblem& p, std::size_t pair) const {
+    double c = p.cost(pair);
+    if (!planned_on[p.server(pair)]) c += p.activation_cost(p.server(pair));
     return c;
   }
 
-  void commit(const AssignmentProblem& p, std::size_t i, std::size_t j) {
+  void commit(const AssignmentProblem& p, std::size_t pair) {
+    const std::size_t j = p.server(pair);
     for (std::size_t k = 0; k < p.num_resources(); ++k) {
-      remaining[j * p.num_resources() + k] -= p.demand(i, j, k);
+      remaining[j * p.num_resources() + k] -= p.demand(pair, k);
     }
     planned_on[j] = 1;
-    ++load_count[j];
   }
 };
 
@@ -336,35 +343,33 @@ struct GreedyState {
 
 AssignmentSolution solve_greedy(const AssignmentProblem& problem) {
   const std::size_t apps = problem.num_apps();
-  const std::size_t servers = problem.num_servers();
   GreedyState state(problem);
   std::vector<std::size_t> assignment(apps, kUnassigned);
-  std::vector<std::uint8_t> placed(apps, 0);
 
   for (std::size_t round = 0; round < apps; ++round) {
     // Pick the unplaced app with the largest regret (gap between its best
     // and second-best feasible option); ties favor the costlier best option.
     std::size_t pick = kUnassigned;
-    std::size_t pick_server = kUnassigned;
+    std::size_t pick_pair = kNoPair;
     double pick_regret = -1.0;
     double pick_best_cost = -kInfinity;
     for (std::size_t i = 0; i < apps; ++i) {
-      if (placed[i]) continue;
+      if (assignment[i] != kUnassigned) continue;
       double best = kInfinity;
       double second = kInfinity;
-      std::size_t best_server = kUnassigned;
-      for (std::size_t j = 0; j < servers; ++j) {
-        if (!problem.feasible_pair(i, j) || !state.fits(problem, i, j)) continue;
-        const double c = state.effective_cost(problem, i, j);
+      std::size_t best_pair = kNoPair;
+      for (const std::size_t p : problem.row(i)) {
+        if (!state.fits(problem, p)) continue;
+        const double c = state.effective_cost(problem, p);
         if (c < best) {
           second = best;
           best = c;
-          best_server = j;
+          best_pair = p;
         } else if (c < second) {
           second = c;
         }
       }
-      if (best_server == kUnassigned) {
+      if (best_pair == kNoPair) {
         // This app can no longer be placed; greedy fails over to a partial
         // answer which evaluate() marks infeasible.
         continue;
@@ -375,13 +380,12 @@ AssignmentSolution solve_greedy(const AssignmentProblem& problem) {
         pick_regret = regret;
         pick_best_cost = best;
         pick = i;
-        pick_server = best_server;
+        pick_pair = best_pair;
       }
     }
     if (pick == kUnassigned) break;  // nothing placeable remains
-    assignment[pick] = pick_server;
-    placed[pick] = 1;
-    state.commit(problem, pick, pick_server);
+    assignment[pick] = problem.server(pick_pair);
+    state.commit(problem, pick_pair);
   }
   AssignmentSolution solution = evaluate(problem, assignment);
   solution.stats.components = 1;
@@ -395,12 +399,18 @@ std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSol
   const std::size_t servers = problem.num_servers();
   const std::size_t resources = problem.num_resources();
 
+  // Each app's current pair: kNoPair when the app is unassigned or sits on a
+  // server it has no pair with (such an app stays put; evaluate() below
+  // marks the answer infeasible).
+  std::vector<std::size_t> current(apps, kNoPair);
   std::vector<double> load(servers * resources, 0.0);
   std::vector<std::size_t> count(servers, 0);
   for (std::size_t i = 0; i < apps; ++i) {
-    const std::size_t j = solution.assignment[i];
-    if (j == kUnassigned) continue;
-    for (std::size_t k = 0; k < resources; ++k) load[j * resources + k] += problem.demand(i, j, k);
+    const std::size_t p = problem.find(i, solution.assignment[i]);
+    if (p == kNoPair) continue;
+    current[i] = p;
+    const std::size_t j = problem.server(p);
+    for (std::size_t k = 0; k < resources; ++k) load[j * resources + k] += problem.demand(p, k);
     ++count[j];
   }
 
@@ -412,71 +422,84 @@ std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSol
     // Saving from vacating the last app of an initially-off server.
     return (!problem.initially_on(j) && count[j] == 1) ? problem.activation_cost(j) : 0.0;
   };
-  const auto fits_after = [&](std::size_t i, std::size_t to, std::size_t ignore_app) {
+  // Whether pair `to` fits on its server once pair `leaving` (kNoPair: none)
+  // has moved off it.
+  const auto fits_after = [&](std::size_t to, std::size_t leaving) {
+    const std::size_t j = problem.server(to);
     for (std::size_t k = 0; k < resources; ++k) {
-      double used = load[to * resources + k];
-      if (ignore_app != kUnassigned && solution.assignment[ignore_app] == to) {
-        used -= problem.demand(ignore_app, to, k);
-      }
-      if (used + problem.demand(i, to, k) > problem.capacity(to, k) + 1e-9) return false;
+      double used = load[j * resources + k];
+      if (leaving != kNoPair) used -= problem.demand(leaving, k);
+      if (used + problem.demand(to, k) > problem.capacity(j, k) + 1e-9) return false;
     }
     return true;
   };
 
+  std::vector<std::size_t> pair_of_a(servers, kNoPair);
   std::size_t improvements = 0;
   for (std::size_t round = 0; round < max_rounds; ++round) {
     bool improved = false;
 
-    // Relocate moves. `from` is refreshed after every applied move: the app
-    // now lives on its new server and further candidate targets must be
-    // evaluated against that.
+    // Relocate moves over the app's row. `from` is re-read for every
+    // candidate: after an applied move the app lives on its new server and
+    // further targets must be evaluated against that.
     for (std::size_t i = 0; i < apps; ++i) {
-      std::size_t from = solution.assignment[i];
-      if (from == kUnassigned) continue;
-      for (std::size_t to = 0; to < servers; ++to) {
-        if (to == from || !problem.feasible_pair(i, to)) continue;
-        if (!fits_after(i, to, kUnassigned)) continue;
-        const double delta = problem.cost(i, to) - problem.cost(i, from) +
-                             activation_delta_gain(to) - activation_delta_release(from);
+      if (current[i] == kNoPair) continue;
+      for (const std::size_t to : problem.row(i)) {
+        const std::size_t from = current[i];
+        if (to == from || !fits_after(to, kNoPair)) continue;
+        const std::size_t from_server = problem.server(from);
+        const std::size_t to_server = problem.server(to);
+        const double delta = problem.cost(to) - problem.cost(from) +
+                             activation_delta_gain(to_server) -
+                             activation_delta_release(from_server);
         if (delta < -1e-9) {
           for (std::size_t k = 0; k < resources; ++k) {
-            load[from * resources + k] -= problem.demand(i, from, k);
-            load[to * resources + k] += problem.demand(i, to, k);
+            load[from_server * resources + k] -= problem.demand(from, k);
+            load[to_server * resources + k] += problem.demand(to, k);
           }
-          --count[from];
-          ++count[to];
-          solution.assignment[i] = to;
-          from = to;
+          --count[from_server];
+          ++count[to_server];
+          solution.assignment[i] = to_server;
+          current[i] = to;
           improved = true;
           ++improvements;
         }
       }
     }
 
-    // Pairwise swaps. `sa` is refreshed after every applied swap — app a
-    // moved, so later candidates must see its new server.
+    // Pairwise swaps. App a's pair is re-read for every b — after an
+    // applied swap, later candidates must see its new server. a's row is
+    // spread over a server-indexed scratch so its targets are one lookup.
     for (std::size_t a = 0; a < apps; ++a) {
-      std::size_t sa = solution.assignment[a];
-      if (sa == kUnassigned) continue;
+      if (current[a] == kNoPair) continue;
+      for (const std::size_t p : problem.row(a)) pair_of_a[problem.server(p)] = p;
       for (std::size_t b = a + 1; b < apps; ++b) {
-        const std::size_t sb = solution.assignment[b];
-        if (sb == kUnassigned || sb == sa) continue;
-        if (!problem.feasible_pair(a, sb) || !problem.feasible_pair(b, sa)) continue;
-        if (!fits_after(a, sb, b) || !fits_after(b, sa, a)) continue;
-        const double delta = problem.cost(a, sb) + problem.cost(b, sa) -
-                             problem.cost(a, sa) - problem.cost(b, sb);
+        const std::size_t pa = current[a];
+        const std::size_t pb = current[b];
+        if (pb == kNoPair) continue;
+        const std::size_t sa = problem.server(pa);
+        const std::size_t sb = problem.server(pb);
+        const std::size_t a_to = pair_of_a[sb];
+        if (sb == sa || a_to == kNoPair) continue;
+        const std::size_t b_to = problem.find(b, sa);
+        if (b_to == kNoPair) continue;
+        if (!fits_after(a_to, pb) || !fits_after(b_to, pa)) continue;
+        const double delta =
+            problem.cost(a_to) + problem.cost(b_to) - problem.cost(pa) - problem.cost(pb);
         if (delta < -1e-9) {
           for (std::size_t k = 0; k < resources; ++k) {
-            load[sa * resources + k] += problem.demand(b, sa, k) - problem.demand(a, sa, k);
-            load[sb * resources + k] += problem.demand(a, sb, k) - problem.demand(b, sb, k);
+            load[sa * resources + k] += problem.demand(b_to, k) - problem.demand(pa, k);
+            load[sb * resources + k] += problem.demand(a_to, k) - problem.demand(pb, k);
           }
           solution.assignment[a] = sb;
           solution.assignment[b] = sa;
-          sa = sb;
+          current[a] = a_to;
+          current[b] = b_to;
           improved = true;
           ++improvements;
         }
       }
+      for (const std::size_t p : problem.row(a)) pair_of_a[problem.server(p)] = kNoPair;
     }
 
     if (!improved) break;

@@ -2,12 +2,16 @@
 // filtering) and its solution paths.
 //
 // An AssignmentProblem has `num_apps` applications to place on
-// `num_servers` servers with multi-dimensional capacities. cost(i,j) is the
-// objective contribution of placing app i on server j (the policies encode
-// E_ij * Ī_j, energy, or blended objectives here); +infinity marks a
-// latency-infeasible pair (Eq. 2 pre-filtered). Servers that are initially
-// off incur activation_cost(j) once if they receive any application
-// (Eq. 6's second term; Eq. 4-5 power-state constraints).
+// `num_servers` servers with multi-dimensional capacities. Only the
+// feasible (app, server) pairs exist — Eq. 2's latency pre-filter removes
+// the rest before the problem is built — and they are stored once, in CSR
+// form: a list in strictly ascending (app, server) order with per-app row
+// offsets. Pair p carries its server, its cost (the objective contribution
+// of placing its app there; the policies encode E_ij * Ī_j, energy, or
+// blended objectives here) and `num_resources` demands. A pair that is not
+// in the list cannot be used. Servers that are initially off incur
+// activation_cost(j) once if they receive any application (Eq. 6's second
+// term; Eq. 4-5 power-state constraints).
 //
 // Two solution paths, cross-validated in tests:
 //  * solve_exact   — branch-and-bound MILP; exact, testbed scale.
@@ -21,14 +25,19 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <ranges>
+#include <span>
 #include <vector>
 
-#include "solver/lp.hpp"
 #include "solver/milp.hpp"
 
 namespace carbonedge::solver {
 
 inline constexpr std::size_t kUnassigned = static_cast<std::size_t>(-1);
+
+/// Pair index returned by AssignmentProblem::find for a pair not in the list.
+inline constexpr std::size_t kNoPair = static_cast<std::size_t>(-1);
 
 class AssignmentProblem {
  public:
@@ -37,19 +46,32 @@ class AssignmentProblem {
   [[nodiscard]] std::size_t num_apps() const noexcept { return num_apps_; }
   [[nodiscard]] std::size_t num_servers() const noexcept { return num_servers_; }
   [[nodiscard]] std::size_t num_resources() const noexcept { return num_resources_; }
+  [[nodiscard]] std::size_t num_pairs() const noexcept { return pair_server_.size(); }
 
-  void set_cost(std::size_t app, std::size_t server, double cost);
-  [[nodiscard]] double cost(std::size_t app, std::size_t server) const noexcept {
-    return cost_[app * num_servers_ + server];
-  }
-  [[nodiscard]] bool feasible_pair(std::size_t app, std::size_t server) const noexcept {
-    return cost(app, server) < kInfinity;
+  /// Appends a feasible pair. Pairs must arrive in strictly ascending
+  /// (app, server) order with a finite cost and one demand per resource;
+  /// anything else throws std::invalid_argument.
+  void add_pair(std::size_t app, std::size_t server, double cost,
+                std::span<const double> demands);
+  void add_pair(std::size_t app, std::size_t server, double cost,
+                std::initializer_list<double> demands) {
+    add_pair(app, server, cost, std::span<const double>(demands.begin(), demands.size()));
   }
 
-  void set_demand(std::size_t app, std::size_t server, std::size_t resource, double demand);
-  [[nodiscard]] double demand(std::size_t app, std::size_t server,
-                              std::size_t resource) const noexcept {
-    return demand_[(app * num_servers_ + server) * num_resources_ + resource];
+  /// Indices of `app`'s pairs, in ascending server order.
+  [[nodiscard]] auto row(std::size_t app) const noexcept {
+    return std::views::iota(row_start(app), row_start(app + 1));
+  }
+  /// Index of the (app, server) pair, or kNoPair when it is not feasible.
+  [[nodiscard]] std::size_t find(std::size_t app, std::size_t server) const noexcept;
+
+  [[nodiscard]] std::size_t server(std::size_t pair) const noexcept { return pair_server_[pair]; }
+  [[nodiscard]] double cost(std::size_t pair) const noexcept { return pair_cost_[pair]; }
+  [[nodiscard]] double demand(std::size_t pair, std::size_t resource) const noexcept {
+    return pair_demand_[pair * num_resources_ + resource];
+  }
+  [[nodiscard]] std::span<const double> demands(std::size_t pair) const noexcept {
+    return {pair_demand_.data() + pair * num_resources_, num_resources_};
   }
 
   void set_capacity(std::size_t server, std::size_t resource, double capacity);
@@ -67,11 +89,19 @@ class AssignmentProblem {
   }
 
  private:
+  [[nodiscard]] std::size_t row_start(std::size_t app) const noexcept {
+    return app < row_begin_.size() ? row_begin_[app] : num_pairs();
+  }
+
   std::size_t num_apps_;
   std::size_t num_servers_;
   std::size_t num_resources_;
-  std::vector<double> cost_;
-  std::vector<double> demand_;
+  // row_begin_[i] is the first pair of app i, for every app up to the last
+  // one with a pair; later apps have empty rows at the end of the list.
+  std::vector<std::size_t> row_begin_;
+  std::vector<std::size_t> pair_server_;
+  std::vector<double> pair_cost_;
+  std::vector<double> pair_demand_;  // [pair x resource]
   std::vector<double> capacity_;
   std::vector<double> activation_cost_;
   std::vector<std::uint8_t> initially_on_;
@@ -97,12 +127,14 @@ struct AssignmentSolution {
   SolveStats stats;                       // telemetry; not part of the answer
 };
 
-/// Recompute cost/power state/feasibility of an assignment vector.
+/// Recompute cost/power state/feasibility of an assignment vector. An app
+/// placed on a server it has no pair with adds kInfinity to the cost.
 [[nodiscard]] AssignmentSolution evaluate(const AssignmentProblem& problem,
                                           const std::vector<std::size_t>& assignment);
 
 /// Check all Eq. 1-5 analogues: capacities respected, only feasible pairs
-/// used, power states consistent.
+/// used, power states consistent (an empty `powered_on` skips the power
+/// checks; any other length but num_servers() is rejected).
 [[nodiscard]] bool validate(const AssignmentProblem& problem, const AssignmentSolution& solution,
                             double tol = 1e-6);
 

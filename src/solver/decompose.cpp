@@ -38,13 +38,13 @@ class UnionFind {
 std::vector<Component> connected_components(const AssignmentProblem& problem) {
   const std::size_t apps = problem.num_apps();
   const std::size_t servers = problem.num_servers();
-  // One pass over the cost matrix in ascending (app, server) order, uniting
-  // every feasible pair as it is found.
+  // One pass over the pair list in ascending (app, server) order, uniting
+  // every pair's app and server.
   UnionFind uf(apps + servers);
   std::vector<std::uint8_t> server_used(servers, 0);
   for (std::size_t i = 0; i < apps; ++i) {
-    for (std::size_t j = 0; j < servers; ++j) {
-      if (!problem.feasible_pair(i, j)) continue;
+    for (const std::size_t p : problem.row(i)) {
+      const std::size_t j = problem.server(p);
       uf.unite(i, apps + j);
       server_used[j] = 1;
     }
@@ -81,14 +81,14 @@ AssignmentProblem extract_component(const AssignmentProblem& problem,
     sub.set_activation_cost(jj, problem.activation_cost(j));
     sub.set_initially_on(jj, problem.initially_on(j));
   }
+  // Every pair of a component app lands on a component server; the sorted
+  // server list maps it to its local column, preserving ascending order.
   for (std::size_t ii = 0; ii < component.apps.size(); ++ii) {
-    const std::size_t i = component.apps[ii];
-    for (std::size_t jj = 0; jj < component.servers.size(); ++jj) {
-      const std::size_t j = component.servers[jj];
-      sub.set_cost(ii, jj, problem.cost(i, j));
-      for (std::size_t k = 0; k < resources; ++k) {
-        sub.set_demand(ii, jj, k, problem.demand(i, j, k));
-      }
+    for (const std::size_t p : problem.row(component.apps[ii])) {
+      const auto local = std::lower_bound(component.servers.begin(), component.servers.end(),
+                                          problem.server(p));
+      sub.add_pair(ii, static_cast<std::size_t>(local - component.servers.begin()),
+                   problem.cost(p), problem.demands(p));
     }
   }
   return sub;

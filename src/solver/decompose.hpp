@@ -4,7 +4,8 @@
 // Eq. 2 latency pre-filtering makes real placement batches block-diagonal:
 // an application in one metro cannot land on another metro's servers, so
 // the AssignmentProblem almost always splits into independent components
-// (union-find over apps ∪ servers joined by feasible pairs). Costs,
+// (union-find over apps ∪ servers, one union per entry of the problem's
+// pair list). Costs,
 // demands, capacities, and activation costs never couple two components —
 // every server belongs to at most one — so solving each component
 // separately and stitching the sub-solutions back is exact: the stitched
@@ -36,8 +37,10 @@ struct Component {
 /// component — they cannot receive load and keep their initial power state.
 [[nodiscard]] std::vector<Component> connected_components(const AssignmentProblem& problem);
 
-/// The sub-problem induced by `component`: row/column `k` of the result is
-/// app `component.apps[k]` / server `component.servers[k]` of `problem`.
+/// The sub-problem induced by `component`: app `k` / server `k` of the
+/// result is app `component.apps[k]` / server `component.servers[k]` of
+/// `problem`, and its pair list holds those apps' pairs, renumbered and
+/// still in ascending (app, server) order.
 [[nodiscard]] AssignmentProblem extract_component(const AssignmentProblem& problem,
                                                   const Component& component);
 

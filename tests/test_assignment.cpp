@@ -2,28 +2,81 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <stdexcept>
+
 #include "util/random.hpp"
 
 namespace carbonedge::solver {
 namespace {
 
-// Tiny helper: fully feasible 2-resource problem with unit demands.
+// Tiny helper: fully feasible 1-resource problem with unit demands.
 AssignmentProblem simple_problem(std::size_t apps, std::size_t servers) {
   AssignmentProblem p(apps, servers, 1);
   for (std::size_t j = 0; j < servers; ++j) p.set_capacity(j, 0, static_cast<double>(apps));
   for (std::size_t i = 0; i < apps; ++i) {
-    for (std::size_t j = 0; j < servers; ++j) {
-      p.set_cost(i, j, static_cast<double>(i + j));
-      p.set_demand(i, j, 0, 1.0);
-    }
+    for (std::size_t j = 0; j < servers; ++j) p.add_pair(i, j, static_cast<double>(i + j), {1.0});
   }
   return p;
 }
 
-TEST(AssignmentProblem, DefaultsAreInfeasibleCosts) {
+TEST(AssignmentProblem, FreshProblemHasNoPairs) {
   const AssignmentProblem p(2, 2, 1);
-  EXPECT_FALSE(p.feasible_pair(0, 0));
+  EXPECT_EQ(p.num_pairs(), 0u);
+  EXPECT_TRUE(p.row(0).empty());
+  EXPECT_EQ(p.find(0, 0), kNoPair);
   EXPECT_TRUE(p.initially_on(0));
+}
+
+TEST(AssignmentProblem, RowsAndFindFollowThePairList) {
+  AssignmentProblem p(4, 3, 2);
+  p.add_pair(0, 1, 5.0, {1.0, 2.0});
+  p.add_pair(0, 2, 6.0, {3.0, 4.0});
+  p.add_pair(2, 0, 7.0, {5.0, 6.0});  // app 1 and app 3 have no pairs
+  ASSERT_EQ(p.num_pairs(), 3u);
+  EXPECT_EQ(p.row(0).size(), 2u);
+  EXPECT_TRUE(p.row(1).empty());
+  EXPECT_EQ(p.row(2).front(), 2u);
+  EXPECT_TRUE(p.row(3).empty());
+  EXPECT_EQ(p.find(0, 2), 1u);
+  EXPECT_EQ(p.find(0, 0), kNoPair);
+  EXPECT_EQ(p.find(0, 7), kNoPair);  // out-of-range server
+  EXPECT_EQ(p.find(3, 0), kNoPair);
+  EXPECT_EQ(p.server(2), 0u);
+  EXPECT_EQ(p.cost(1), 6.0);
+  EXPECT_EQ(p.demand(1, 1), 4.0);
+  EXPECT_EQ(p.demands(2)[0], 5.0);
+}
+
+TEST(AssignmentProblem, AddPairRejectsDescendingOrder) {
+  AssignmentProblem p(2, 2, 1);
+  p.add_pair(1, 0, 1.0, {1.0});
+  EXPECT_THROW(p.add_pair(0, 1, 1.0, {1.0}), std::invalid_argument);  // earlier app
+  EXPECT_THROW(p.add_pair(1, 0, 1.0, {1.0}), std::invalid_argument);  // duplicate pair
+  p.add_pair(1, 1, 1.0, {1.0});
+  EXPECT_EQ(p.num_pairs(), 2u);
+}
+
+TEST(AssignmentProblem, AddPairRejectsOutOfRangeIndex) {
+  AssignmentProblem p(2, 2, 1);
+  EXPECT_THROW(p.add_pair(2, 0, 1.0, {1.0}), std::invalid_argument);
+  EXPECT_THROW(p.add_pair(0, 2, 1.0, {1.0}), std::invalid_argument);
+  EXPECT_EQ(p.num_pairs(), 0u);
+}
+
+TEST(AssignmentProblem, AddPairRejectsNonFiniteCost) {
+  AssignmentProblem p(1, 1, 1);
+  EXPECT_THROW(p.add_pair(0, 0, kInfinity, {1.0}), std::invalid_argument);
+  EXPECT_THROW(p.add_pair(0, 0, std::nan(""), {1.0}), std::invalid_argument);
+  EXPECT_EQ(p.num_pairs(), 0u);
+}
+
+TEST(AssignmentProblem, AddPairRejectsWrongDemandCount) {
+  AssignmentProblem p(1, 1, 2);
+  EXPECT_THROW(p.add_pair(0, 0, 1.0, {1.0}), std::invalid_argument);
+  EXPECT_THROW(p.add_pair(0, 0, 1.0, {1.0, 2.0, 3.0}), std::invalid_argument);
+  EXPECT_EQ(p.num_pairs(), 0u);
 }
 
 TEST(Evaluate, ComputesCostAndPowerStates) {
@@ -64,8 +117,11 @@ TEST(Validate, RejectsCapacityViolation) {
 }
 
 TEST(Validate, RejectsInfeasiblePairUse) {
-  AssignmentProblem p = simple_problem(2, 2);
-  p.set_cost(0, 1, kInfinity);  // latency-infeasible
+  AssignmentProblem p(2, 2, 1);
+  for (std::size_t j = 0; j < 2; ++j) p.set_capacity(j, 0, 2.0);
+  p.add_pair(0, 0, 0.0, {1.0});  // (0, 1) is latency-infeasible: no pair
+  p.add_pair(1, 0, 1.0, {1.0});
+  p.add_pair(1, 1, 2.0, {1.0});
   AssignmentSolution sol;
   sol.assignment = {1, 0};
   sol.powered_on = {1, 1};
@@ -77,6 +133,16 @@ TEST(Validate, RejectsPoweredOffHosting) {
   AssignmentSolution sol;
   sol.assignment = {0};
   sol.powered_on = {0};  // claims server off while hosting (Eq. 5)
+  EXPECT_FALSE(validate(p, sol));
+}
+
+// Regression: a non-empty power-state vector shorter than the server list
+// used to be read past its end.
+TEST(Validate, RejectsPowerStateOfWrongLength) {
+  const AssignmentProblem p = simple_problem(1, 2);
+  AssignmentSolution sol;
+  sol.assignment = {1};
+  sol.powered_on = {1};
   EXPECT_FALSE(validate(p, sol));
 }
 
@@ -116,10 +182,8 @@ TEST(SolveExact, WeighsActivationAgainstPlacement) {
     p.set_initially_on(1, false);
     p.set_activation_cost(1, 5.0);
     for (std::size_t i = 0; i < apps; ++i) {
-      p.set_cost(i, 0, 4.0);
-      p.set_cost(i, 1, 1.0);
-      p.set_demand(i, 0, 0, 1.0);
-      p.set_demand(i, 1, 0, 1.0);
+      p.add_pair(i, 0, 4.0, {1.0});
+      p.add_pair(i, 1, 1.0, {1.0});
     }
     return p;
   };
@@ -132,7 +196,7 @@ TEST(SolveExact, WeighsActivationAgainstPlacement) {
 }
 
 TEST(SolveExact, InfeasibleWhenAppHasNoServer) {
-  AssignmentProblem p(1, 1, 1);  // cost left at infinity
+  AssignmentProblem p(1, 1, 1);  // no pairs
   const AssignmentSolution sol = solve_exact(p);
   EXPECT_FALSE(sol.feasible);
   EXPECT_EQ(sol.unassigned_count, 1u);
@@ -162,13 +226,10 @@ TEST(LocalSearch, FixesGreedyMisstep) {
   AssignmentProblem p(2, 2, 1);
   p.set_capacity(0, 0, 1.0);
   p.set_capacity(1, 0, 1.0);
-  p.set_cost(0, 0, 5.0);
-  p.set_cost(0, 1, 1.0);
-  p.set_cost(1, 0, 1.0);
-  p.set_cost(1, 1, 5.0);
-  for (std::size_t i = 0; i < 2; ++i) {
-    for (std::size_t j = 0; j < 2; ++j) p.set_demand(i, j, 0, 1.0);
-  }
+  p.add_pair(0, 0, 5.0, {1.0});
+  p.add_pair(0, 1, 1.0, {1.0});
+  p.add_pair(1, 0, 1.0, {1.0});
+  p.add_pair(1, 1, 5.0, {1.0});
   AssignmentSolution sol = evaluate(p, {0, 1});  // the bad crossing, cost 10
   EXPECT_DOUBLE_EQ(sol.total_cost, 10.0);
   const std::size_t moves = improve_local_search(p, sol);
@@ -217,9 +278,9 @@ TEST_P(RandomAssignment, SolverHierarchyHolds) {
   for (std::size_t i = 0; i < apps; ++i) {
     for (std::size_t j = 0; j < servers; ++j) {
       if (rng.bernoulli(0.15)) continue;  // latency-infeasible pair
-      p.set_cost(i, j, rng.uniform(0.0, 10.0));
-      p.set_demand(i, j, 0, rng.uniform(0.3, 1.5));
-      p.set_demand(i, j, 1, rng.uniform(0.3, 1.5));
+      const double cost = rng.uniform(0.0, 10.0);
+      const double memory = rng.uniform(0.3, 1.5);
+      p.add_pair(i, j, cost, {memory, rng.uniform(0.3, 1.5)});
     }
   }
 

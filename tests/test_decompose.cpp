@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "util/random.hpp"
 
 namespace carbonedge::solver {
@@ -9,10 +11,17 @@ namespace {
 
 // K independent blocks glued into one problem: block-diagonal feasibility,
 // two resources, one cold spare per block so activation decisions are in
-// play. Mirrors a latency-filtered multi-metro batch.
+// play. Mirrors a latency-filtered multi-metro batch. `skip_app` (if any)
+// gets no pairs; `bridge` (if any) is one extra cost-5 pair.
+struct Bridge {
+  std::size_t app;
+  std::size_t server;
+};
+
 AssignmentProblem block_instance(std::size_t blocks, std::size_t apps_per,
                                  std::size_t servers_per, std::uint64_t seed,
-                                 double infeasible_p = 0.1) {
+                                 double infeasible_p = 0.1, std::size_t skip_app = kUnassigned,
+                                 std::optional<Bridge> bridge = std::nullopt) {
   util::Rng rng(seed);
   AssignmentProblem p(blocks * apps_per, blocks * servers_per, 2);
   for (std::size_t b = 0; b < blocks; ++b) {
@@ -23,14 +32,16 @@ AssignmentProblem block_instance(std::size_t blocks, std::size_t apps_per,
     p.set_initially_on(b * servers_per + servers_per - 1, false);
     p.set_activation_cost(b * servers_per + servers_per - 1, rng.uniform(1.0, 6.0));
     for (std::size_t i = 0; i < apps_per; ++i) {
+      const std::size_t row = b * apps_per + i;
       for (std::size_t j = 0; j < servers_per; ++j) {
         if (rng.bernoulli(infeasible_p)) continue;
-        const std::size_t row = b * apps_per + i;
         const std::size_t col = b * servers_per + j;
-        p.set_cost(row, col, rng.uniform(0.5, 10.0));
-        p.set_demand(row, col, 0, rng.uniform(0.2, 1.2));
-        p.set_demand(row, col, 1, rng.uniform(0.2, 1.2));
+        const double cost = rng.uniform(0.5, 10.0);
+        const double memory = rng.uniform(0.2, 1.2);
+        const double compute = rng.uniform(0.2, 1.2);
+        if (row != skip_app) p.add_pair(row, col, cost, {memory, compute});
       }
+      if (bridge && bridge->app == row) p.add_pair(row, bridge->server, 5.0, {0.5, 0.5});
     }
   }
   return p;
@@ -48,8 +59,8 @@ TEST(ConnectedComponents, SplitsBlockDiagonalInstances) {
 
 TEST(ConnectedComponents, UnplaceableAppIsAnAppOnlySingleton) {
   AssignmentProblem p(3, 2, 1);
-  p.set_cost(0, 0, 1.0);
-  p.set_cost(2, 1, 1.0);  // app 1 has no feasible server
+  p.add_pair(0, 0, 1.0, {0.0});
+  p.add_pair(2, 1, 1.0, {0.0});  // app 1 has no feasible server
   const std::vector<Component> components = connected_components(p);
   ASSERT_EQ(components.size(), 3u);
   EXPECT_EQ(components[1].apps, (std::vector<std::size_t>{1}));
@@ -58,8 +69,8 @@ TEST(ConnectedComponents, UnplaceableAppIsAnAppOnlySingleton) {
 
 TEST(ConnectedComponents, ServerWithoutFeasiblePairsJoinsNoComponent) {
   AssignmentProblem p(2, 3, 1);
-  p.set_cost(0, 0, 1.0);
-  p.set_cost(1, 2, 1.0);  // server 1 never appears
+  p.add_pair(0, 0, 1.0, {0.0});
+  p.add_pair(1, 2, 1.0, {0.0});  // server 1 never appears
   const std::vector<Component> components = connected_components(p);
   ASSERT_EQ(components.size(), 2u);
   for (const Component& component : components) {
@@ -68,12 +79,11 @@ TEST(ConnectedComponents, ServerWithoutFeasiblePairsJoinsNoComponent) {
 }
 
 TEST(ConnectedComponents, BridgingAppMergesBlocks) {
-  AssignmentProblem p = block_instance(2, 2, 2, 7, /*infeasible_p=*/0.0);
-  ASSERT_EQ(connected_components(p).size(), 2u);
-  p.set_cost(0, 3, 5.0);  // app 0 can now reach block 2's server
-  p.set_demand(0, 3, 0, 0.5);
-  p.set_demand(0, 3, 1, 0.5);
-  EXPECT_EQ(connected_components(p).size(), 1u);
+  ASSERT_EQ(connected_components(block_instance(2, 2, 2, 7, /*infeasible_p=*/0.0)).size(), 2u);
+  // The same instance where app 0 can also reach block 2's server 3.
+  const AssignmentProblem bridged =
+      block_instance(2, 2, 2, 7, /*infeasible_p=*/0.0, kUnassigned, Bridge{0, 3});
+  EXPECT_EQ(connected_components(bridged).size(), 1u);
 }
 
 TEST(ExtractComponent, PreservesCostsDemandsCapacitiesAndPowerState) {
@@ -85,12 +95,17 @@ TEST(ExtractComponent, PreservesCostsDemandsCapacitiesAndPowerState) {
     ASSERT_EQ(sub.num_servers(), component.servers.size());
     ASSERT_EQ(sub.num_resources(), p.num_resources());
     for (std::size_t ii = 0; ii < component.apps.size(); ++ii) {
+      const std::size_t i = component.apps[ii];
+      ASSERT_EQ(sub.row(ii).size(), p.row(i).size());
       for (std::size_t jj = 0; jj < component.servers.size(); ++jj) {
-        const std::size_t i = component.apps[ii];
         const std::size_t j = component.servers[jj];
-        EXPECT_EQ(sub.cost(ii, jj), p.cost(i, j));
+        const std::size_t sub_pair = sub.find(ii, jj);
+        const std::size_t pair = p.find(i, j);
+        ASSERT_EQ(sub_pair == kNoPair, pair == kNoPair);
+        if (pair == kNoPair) continue;
+        EXPECT_EQ(sub.cost(sub_pair), p.cost(pair));
         for (std::size_t k = 0; k < p.num_resources(); ++k) {
-          EXPECT_EQ(sub.demand(ii, jj, k), p.demand(i, j, k));
+          EXPECT_EQ(sub.demand(sub_pair, k), p.demand(pair, k));
         }
       }
     }
@@ -165,8 +180,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ShardedVsUnsharded, ::testing::Range(0, 30));
 TEST(SolveSharded, UnplaceableAppsAreIsolatedNotContagious) {
   // One app with no feasible server must not drag the rest of the batch
   // off the exact path: the other components still solve and stitch.
-  AssignmentProblem p = block_instance(2, 2, 2, 21, /*infeasible_p=*/0.0);
-  for (std::size_t j = 0; j < p.num_servers(); ++j) p.set_cost(2, j, kInfinity);
+  const AssignmentProblem p =
+      block_instance(2, 2, 2, 21, /*infeasible_p=*/0.0, /*skip_app=*/2);
   const AssignmentSolution sharded = solve_auto(p);
   EXPECT_FALSE(sharded.feasible);  // the batch as a whole is not fully placed
   EXPECT_EQ(sharded.unassigned_count, 1u);
@@ -196,10 +211,7 @@ TEST(SolveSharded, SingleComponentSpanningProblemSkipsExtraction) {
   // without extraction (stats come back monolithic).
   AssignmentProblem p(2, 2, 1);
   for (std::size_t i = 0; i < 2; ++i) {
-    for (std::size_t j = 0; j < 2; ++j) {
-      p.set_cost(i, j, static_cast<double>(i + j + 1));
-      p.set_demand(i, j, 0, 1.0);
-    }
+    for (std::size_t j = 0; j < 2; ++j) p.add_pair(i, j, static_cast<double>(i + j + 1), {1.0});
     p.set_capacity(i, 0, 2.0);
   }
   const AssignmentSolution sol = solve_auto(p);
