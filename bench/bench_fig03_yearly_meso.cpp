@@ -10,7 +10,6 @@
 #include "carbon/zone.hpp"
 #include "geo/region.hpp"
 #include "geo/site.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 
 using namespace carbonedge;

@@ -12,7 +12,6 @@
 #include "carbon/zone.hpp"
 #include "geo/region.hpp"
 #include "geo/site.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 
 using namespace carbonedge;

@@ -88,6 +88,47 @@ if(NOT CMAKE_MATCH_1)
 endif()
 set(CATALOG_KEY ${CMAKE_MATCH_1})
 
+# Queries the CLI must refuse rather than answer: "nan", "inf" and 200
+# parse as numbers, so a point outside the WGS-84 ranges catalog ingest
+# enforces, a negative or infinite radius, or a number with trailing
+# characters must exit non-zero with a message. Each item is
+# "<subcommand>,<args after the key>".
+foreach(bad "nearest,nan,5" "nearest,200,5" "nearest,52.0,-180.5" "nearest,52.0x,5"
+            "radius,52.0,5.0,-1" "radius,52.0,5.0,inf" "radius,-91,5.0,400")
+  string(REPLACE "," ";" bad_args "${bad}")
+  list(INSERT bad_args 1 ${CATALOG_KEY})
+  execute_process(
+    COMMAND ${CLI} catalog --dir ${CATALOG_STORE} ${bad_args}
+    OUTPUT_VARIABLE bad_out
+    ERROR_VARIABLE bad_err
+    RESULT_VARIABLE status)
+  if(status EQUAL 0 OR NOT bad_err MATCHES "error: ")
+    message(FATAL_ERROR "catalog probe '${bad}' should fail with a message, "
+                        "got exit ${status}:\n${bad_out}${bad_err}")
+  endif()
+endforeach()
+message(STATUS "determinism gate: out-of-range catalog queries rejected")
+
+# A comment-only dump compiles to an empty catalog; nearest on it reports
+# that and exits 1 instead of naming a site that does not exist.
+file(WRITE ${OUT_DIR}/empty_sites.tsv "# no sites\n")
+execute_process(
+  COMMAND ${CLI} catalog --dir ${CATALOG_STORE} build ${OUT_DIR}/empty_sites.tsv
+  OUTPUT_VARIABLE empty_build
+  RESULT_VARIABLE status)
+string(REGEX MATCH "key ([0-9a-f]+)" _ "${empty_build}")
+if(NOT status EQUAL 0 OR NOT CMAKE_MATCH_1)
+  message(FATAL_ERROR "catalog build of a comment-only dump failed (exit ${status}):\n${empty_build}")
+endif()
+execute_process(
+  COMMAND ${CLI} catalog --dir ${CATALOG_STORE} nearest ${CMAKE_MATCH_1} 52.0 5.0
+  OUTPUT_VARIABLE empty_out
+  RESULT_VARIABLE status)
+if(NOT status EQUAL 1 OR NOT empty_out MATCHES "catalog is empty")
+  message(FATAL_ERROR "catalog nearest on an empty catalog should print 'catalog is empty' "
+                      "and exit 1, got exit ${status}:\n${empty_out}")
+endif()
+
 # Radius query (spatial index, exact distances) and a 12-site banded sweep
 # (sparse LatencyProvider through region construction, solver, and engine).
 set(PROBE_catalog_radius "catalog;--dir;${CATALOG_STORE};radius;${CATALOG_KEY};52.0;5.0;400")

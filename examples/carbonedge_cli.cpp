@@ -36,10 +36,11 @@
 //   carbonedge_cli catalog info <key>           summarize a compiled catalog
 //   carbonedge_cli catalog nearest <key> <lat> <lon>
 //   carbonedge_cli catalog radius <key> <lat> <lon> <km>
-//                                               spatial-index queries (output
-//                                               is byte-identical to the
-//                                               brute-force oracle; the
-//                                               determinism gate diffs radius)
+//                                               nearest site (linear scan) and
+//                                               spatial-index radius queries
+//                                               (byte-identical to a brute-
+//                                               force scan; the determinism
+//                                               gate diffs radius)
 //   carbonedge_cli catalog sweep <key> <epochs> [--max-sites=<n>] [--band=<ms>]
 //                                               single-cell CarbonEdge sweep
 //                                               over a compiled catalog, with
@@ -59,6 +60,7 @@
 //
 // Regions: florida, west_us, italy, central_eu, cdn_us, cdn_eu.
 // Policies: latency, energy, intensity, carbonedge, alpha=<0..1>.
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -100,7 +102,6 @@
 #include "store/sweep_store.hpp"
 #include "store/trace_tier.hpp"
 #include "util/env.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 
 using namespace carbonedge;
@@ -631,12 +632,27 @@ int cmd_catalog_info(const store::ArtifactStore& artifacts, const std::string& k
   return 0;
 }
 
+// A number parses as "nan", "inf" or 200: hold a query point to the WGS-84
+// ranges catalog_io enforces at ingest, and a radius to finite km >= 0.
+void require_valid_query(double lat, double lon, double km) {
+  if (!(lat >= -90.0 && lat <= 90.0)) {
+    throw std::invalid_argument("latitude out of range [-90, 90]: " + util::format_fixed(lat, 4));
+  }
+  if (!(lon >= -180.0 && lon <= 180.0)) {
+    throw std::invalid_argument("longitude out of range [-180, 180]: " +
+                                util::format_fixed(lon, 4));
+  }
+  if (!(std::isfinite(km) && km >= 0.0)) {
+    throw std::invalid_argument("radius must be finite and >= 0 km: " + util::format_fixed(km, 1));
+  }
+}
+
 int cmd_catalog_nearest(const store::ArtifactStore& artifacts, const std::string& key,
                         double lat, double lon) {
+  require_valid_query(lat, lon, 0.0);
   const geo::CompiledSiteCatalog catalog = require_catalog(artifacts, key);
-  const geo::SpatialIndex index(catalog);
   const geo::GeoPoint query{lat, lon};
-  const auto id = index.nearest(query);
+  const auto id = catalog.nearest(query);
   if (!id) {
     std::cout << "catalog is empty\n";
     return 1;
@@ -650,6 +666,7 @@ int cmd_catalog_nearest(const store::ArtifactStore& artifacts, const std::string
 
 int cmd_catalog_radius(const store::ArtifactStore& artifacts, const std::string& key,
                        double lat, double lon, double km) {
+  require_valid_query(lat, lon, km);
   const geo::CompiledSiteCatalog catalog = require_catalog(artifacts, key);
   const geo::SpatialIndex index(catalog);
   const geo::GeoPoint query{lat, lon};
@@ -730,11 +747,12 @@ int cmd_catalog(int argc, char** argv) {
   if (sub == "build" && args.size() == 1) return cmd_catalog_build(artifacts, args[0]);
   if (sub == "info" && args.size() == 1) return cmd_catalog_info(artifacts, args[0]);
   if (sub == "nearest" && args.size() == 3) {
-    return cmd_catalog_nearest(artifacts, args[0], std::stod(args[1]), std::stod(args[2]));
+    return cmd_catalog_nearest(artifacts, args[0], parse_flag_double(args[1], 0),
+                               parse_flag_double(args[2], 0));
   }
   if (sub == "radius" && args.size() == 4) {
-    return cmd_catalog_radius(artifacts, args[0], std::stod(args[1]), std::stod(args[2]),
-                              std::stod(args[3]));
+    return cmd_catalog_radius(artifacts, args[0], parse_flag_double(args[1], 0),
+                              parse_flag_double(args[2], 0), parse_flag_double(args[3], 0));
   }
   if (sub == "sweep" && args.size() >= 2) return cmd_catalog_sweep(artifacts, std::move(args));
   return usage();

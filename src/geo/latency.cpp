@@ -1,7 +1,6 @@
 #include "geo/latency.hpp"
 
 #include <numeric>
-#include <stdexcept>
 
 #include "util/random.hpp"
 
@@ -42,13 +41,6 @@ std::vector<std::uint32_t> ascending_sites(std::size_t count) {
 }
 
 }  // namespace
-
-LatencyMatrix::LatencyMatrix(std::size_t count, std::vector<double> one_way_values)
-    : count_(count), values_(std::move(one_way_values)), all_sites_(ascending_sites(count)) {
-  if (values_.size() != count_ * count_) {
-    throw std::invalid_argument("latency matrix: values size must be count^2");
-  }
-}
 
 LatencyMatrix::LatencyMatrix(const LatencyModel& model, std::span<const City> cities)
     : count_(cities.size()),

@@ -89,9 +89,6 @@ class LatencyMatrix final : public LatencyProvider {
  public:
   LatencyMatrix() = default;
   LatencyMatrix(const LatencyModel& model, std::span<const City> cities);
-  /// From raw row-major one-way values (count x count); used by the CSV
-  /// replay path (latency_io.hpp). Throws on size mismatch.
-  LatencyMatrix(std::size_t count, std::vector<double> one_way_values);
 
   [[nodiscard]] double one_way_ms(std::size_t i,
                                   std::size_t j) const noexcept override {

@@ -15,7 +15,6 @@
 #include "sim/datacenter.hpp"
 #include "sim/server.hpp"
 #include "util/parallelism.hpp"
-#include "util/stats.hpp"
 
 namespace carbonedge::runner {
 

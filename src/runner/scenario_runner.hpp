@@ -17,7 +17,6 @@
 
 #include "core/simulation.hpp"
 #include "runner/scenario_grid.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace carbonedge::runner {

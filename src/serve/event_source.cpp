@@ -151,40 +151,4 @@ std::optional<Event> CsvEventSource::next() {
   return std::nullopt;
 }
 
-// ---------------------------------------------------------- BurstSource --
-
-BurstSource::BurstSource(std::size_t sites, std::uint32_t epochs, double epoch_hours,
-                         double base_per_epoch, std::vector<BurstPhase> phases,
-                         sim::Application app_template)
-    : sites_(sites),
-      epochs_(epochs),
-      epoch_hours_(epoch_hours),
-      base_per_epoch_(base_per_epoch),
-      phases_(std::move(phases)),
-      template_(app_template) {
-  if (sites_ == 0) throw std::invalid_argument("burst source: no sites");
-}
-
-std::optional<Event> BurstSource::next() {
-  while (emitted_this_epoch_ >= count_this_epoch_) {
-    if (epoch_ >= epochs_) return std::nullopt;
-    double rate = base_per_epoch_;
-    for (const BurstPhase& phase : phases_) {
-      if (epoch_ >= phase.start_epoch && epoch_ < phase.start_epoch + phase.length_epochs) {
-        rate += phase.arrivals_per_epoch;
-      }
-    }
-    count_this_epoch_ = static_cast<std::uint32_t>(std::llround(rate));
-    emitted_this_epoch_ = 0;
-    ++epoch_;
-  }
-  ++emitted_this_epoch_;
-  sim::Application app = template_;
-  app.id = next_id_++;
-  app.origin_site = next_site_;
-  next_site_ = (next_site_ + 1) % sites_;
-  const double time = static_cast<double>(epoch_ - 1) * epoch_hours_;
-  return make_arrival(time, app);
-}
-
 }  // namespace carbonedge::serve

@@ -75,33 +75,6 @@ double Telemetry::mean_response_ms() const noexcept {
   return rps > 0.0 ? weighted / rps : 0.0;
 }
 
-std::uint64_t Telemetry::total_placed() const noexcept {
-  std::uint64_t total = 0;
-  for (const EpochRecord& e : epochs_) total += e.apps_placed;
-  return total;
-}
-
-std::uint64_t Telemetry::total_rejected() const noexcept {
-  std::uint64_t total = 0;
-  for (const EpochRecord& e : epochs_) total += e.apps_rejected;
-  return total;
-}
-
-std::vector<double> Telemetry::carbon_by_site(std::size_t first, std::size_t last) const {
-  std::vector<double> totals;
-  last = std::min(last, epochs_.size());
-  for (std::size_t e = first; e < last; ++e) {
-    const EpochRecord& record = epochs_[e];
-    if (totals.size() < record.sites.size()) totals.resize(record.sites.size(), 0.0);
-    for (std::size_t s = 0; s < record.sites.size(); ++s) totals[s] += record.sites[s].carbon_g;
-  }
-  return totals;
-}
-
-std::vector<double> Telemetry::carbon_by_site() const {
-  return carbon_by_site(0, epochs_.size());
-}
-
 std::vector<double> Telemetry::apps_by_site(std::size_t first, std::size_t last) const {
   std::vector<double> totals;
   last = std::min(last, epochs_.size());

@@ -65,12 +65,7 @@ class Telemetry {
   [[nodiscard]] double total_carbon_kg() const noexcept { return total_carbon_g() / 1e3; }
   [[nodiscard]] double mean_rtt_ms() const noexcept;          // request-weighted
   [[nodiscard]] double mean_response_ms() const noexcept;     // request-weighted
-  [[nodiscard]] std::uint64_t total_placed() const noexcept;
-  [[nodiscard]] std::uint64_t total_rejected() const noexcept;
 
-  /// Carbon per site summed over a [first, last) epoch window.
-  [[nodiscard]] std::vector<double> carbon_by_site(std::size_t first, std::size_t last) const;
-  [[nodiscard]] std::vector<double> carbon_by_site() const;
   /// Hosted-app count per site averaged over a window (Fig. 13d).
   [[nodiscard]] std::vector<double> apps_by_site(std::size_t first, std::size_t last) const;
 

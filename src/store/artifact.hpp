@@ -28,10 +28,10 @@ namespace carbonedge::store {
 static_assert(std::endian::native == std::endian::little,
               "CEAF artifacts are little-endian on disk");
 
-/// What an artifact's payload encodes (part of the on-disk header).
+/// What an artifact's payload encodes (part of the on-disk header). The
+/// values are on disk; 2 belonged to a retired kind and stays unused.
 enum class ArtifactKind : std::uint32_t {
   kCarbonTrace = 1,    // hourly intensity series + optional generation mixes
-  kLatencyMatrix = 2,  // dense one-way latency matrix
   kSweepOutcome = 3,   // one scenario cell's SimulationResult
   kSiteCatalog = 4,    // compiled site catalog (columnar city table)
 };

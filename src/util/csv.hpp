@@ -1,9 +1,8 @@
-// Minimal CSV reading/writing used by the trace replayers and the bench
-// harness (every bench can dump its rows as CSV next to the ASCII table).
+// Minimal CSV reading/writing behind the carbon-trace import/export
+// (carbon/trace_io.hpp) and the serving loop's per-window export.
 // RFC-4180-style quoting is supported on both paths.
 #pragma once
 
-#include <filesystem>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -25,9 +24,6 @@ struct CsvDocument {
 /// quotes. An empty input yields an empty document.
 [[nodiscard]] CsvDocument parse_csv(std::string_view text, bool has_header = true);
 
-/// Load and parse a CSV file. Throws std::runtime_error if unreadable.
-[[nodiscard]] CsvDocument load_csv(const std::filesystem::path& path, bool has_header = true);
-
 /// Incremental CSV writer.
 class CsvWriter {
  public:
@@ -35,9 +31,6 @@ class CsvWriter {
 
   void header(const std::vector<std::string>& names);
   void row(const std::vector<std::string>& cells);
-
-  /// Convenience: format doubles with fixed precision.
-  void row_numeric(const std::vector<double>& cells, int precision = 6);
 
  private:
   void write_cells(const std::vector<std::string>& cells);

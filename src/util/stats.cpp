@@ -5,37 +5,6 @@
 
 namespace carbonedge::util {
 
-double mean(std::span<const double> values) noexcept {
-  if (values.empty()) return 0.0;
-  double total = 0.0;
-  for (const double v : values) total += v;
-  return total / static_cast<double>(values.size());
-}
-
-double variance(std::span<const double> values) noexcept {
-  if (values.size() < 2) return 0.0;
-  const double mu = mean(values);
-  double acc = 0.0;
-  for (const double v : values) acc += (v - mu) * (v - mu);
-  return acc / static_cast<double>(values.size());
-}
-
-double stddev(std::span<const double> values) noexcept { return std::sqrt(variance(values)); }
-
-double min_value(std::span<const double> values) noexcept {
-  return values.empty() ? 0.0 : *std::min_element(values.begin(), values.end());
-}
-
-double max_value(std::span<const double> values) noexcept {
-  return values.empty() ? 0.0 : *std::max_element(values.begin(), values.end());
-}
-
-double sum(std::span<const double> values) noexcept {
-  double total = 0.0;
-  for (const double v : values) total += v;
-  return total;
-}
-
 double percentile(std::span<const double> values, double p) {
   if (values.empty()) return 0.0;
   std::vector<double> sorted(values.begin(), values.end());
@@ -53,21 +22,6 @@ double median(std::span<const double> values) { return percentile(values, 50.0);
 double minmax_normalize(double value, double lo, double hi) noexcept {
   if (hi <= lo) return 0.0;
   return std::clamp((value - lo) / (hi - lo), 0.0, 1.0);
-}
-
-Summary summarize(std::span<const double> values) {
-  Summary s;
-  s.count = values.size();
-  if (values.empty()) return s;
-  s.mean = mean(values);
-  s.stddev = stddev(values);
-  s.min = min_value(values);
-  s.max = max_value(values);
-  s.p25 = percentile(values, 25.0);
-  s.median = percentile(values, 50.0);
-  s.p75 = percentile(values, 75.0);
-  s.p95 = percentile(values, 95.0);
-  return s;
 }
 
 EmpiricalCdf::EmpiricalCdf(std::vector<double> sample) : sorted_(std::move(sample)) {
@@ -102,40 +56,5 @@ std::vector<std::pair<double, double>> EmpiricalCdf::curve(std::size_t points) c
   }
   return out;
 }
-
-void RunningStats::add(double x) noexcept {
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto n1 = static_cast<double>(count_);
-  const auto n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = n1 + n2;
-  mean_ += delta * n2 / total;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 }  // namespace carbonedge::util

@@ -9,22 +9,6 @@
 
 namespace carbonedge::util {
 
-/// Arithmetic mean; 0 for an empty span.
-[[nodiscard]] double mean(std::span<const double> values) noexcept;
-
-/// Population variance; 0 for spans shorter than 2.
-[[nodiscard]] double variance(std::span<const double> values) noexcept;
-
-/// Population standard deviation.
-[[nodiscard]] double stddev(std::span<const double> values) noexcept;
-
-/// Minimum / maximum; 0 for empty spans.
-[[nodiscard]] double min_value(std::span<const double> values) noexcept;
-[[nodiscard]] double max_value(std::span<const double> values) noexcept;
-
-/// Sum of all values.
-[[nodiscard]] double sum(std::span<const double> values) noexcept;
-
 /// Linear-interpolated percentile, p in [0, 100]. 0 for empty spans.
 [[nodiscard]] double percentile(std::span<const double> values, double p);
 
@@ -34,21 +18,6 @@ namespace carbonedge::util {
 /// Min-max normalization of `value` into [0,1] given observed bounds.
 /// Degenerate ranges (hi <= lo) normalize to 0.
 [[nodiscard]] double minmax_normalize(double value, double lo, double hi) noexcept;
-
-/// Summary of a sample, convenient for bench output rows.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double p25 = 0.0;
-  double median = 0.0;
-  double p75 = 0.0;
-  double p95 = 0.0;
-  double max = 0.0;
-};
-
-[[nodiscard]] Summary summarize(std::span<const double> values);
 
 /// Empirical cumulative distribution function over a sample.
 ///
@@ -75,30 +44,6 @@ class EmpiricalCdf {
 
  private:
   std::vector<double> sorted_;
-};
-
-/// Streaming accumulator (Welford) for single-pass mean/variance with
-/// min/max tracking; used by telemetry counters.
-class RunningStats {
- public:
-  void add(double x) noexcept;
-  void merge(const RunningStats& other) noexcept;
-
-  [[nodiscard]] std::size_t count() const noexcept { return count_; }
-  [[nodiscard]] double mean() const noexcept { return count_ ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const noexcept { return count_ > 1 ? m2_ / static_cast<double>(count_) : 0.0; }
-  [[nodiscard]] double stddev() const noexcept;
-  [[nodiscard]] double min() const noexcept { return count_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const noexcept { return count_ ? max_ : 0.0; }
-  [[nodiscard]] double sum() const noexcept { return sum_; }
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
 };
 
 }  // namespace carbonedge::util

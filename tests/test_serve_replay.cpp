@@ -50,8 +50,6 @@ void expect_identical(const core::SimulationResult& batch,
   EXPECT_EQ(batch.telemetry.total_energy_wh(), replay.telemetry.total_energy_wh());
   EXPECT_EQ(batch.telemetry.mean_rtt_ms(), replay.telemetry.mean_rtt_ms());
   EXPECT_EQ(batch.telemetry.mean_response_ms(), replay.telemetry.mean_response_ms());
-  EXPECT_EQ(batch.telemetry.total_placed(), replay.telemetry.total_placed());
-  EXPECT_EQ(batch.telemetry.total_rejected(), replay.telemetry.total_rejected());
   EXPECT_EQ(batch.telemetry.response_percentile(50.0),
             replay.telemetry.response_percentile(50.0));
   EXPECT_EQ(batch.telemetry.response_percentile(99.0),

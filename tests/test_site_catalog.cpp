@@ -4,11 +4,13 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "geo/catalog.hpp"
 #include "geo/catalog_io.hpp"
 #include "geo/city.hpp"
+#include "geo/coord.hpp"
 #include "geo/site.hpp"
 #include "store/artifact_store.hpp"
 #include "store/codecs.hpp"
@@ -106,6 +108,47 @@ TEST(SiteCatalog, ConstructorRejectsBrokenInvariants) {
   std::vector<geo::City> bad_lat = geo::parse_sites_tsv(kGoodDump);
   bad_lat[0].location.lat_deg = 123.0;
   EXPECT_THROW(geo::CompiledSiteCatalog{std::move(bad_lat)}, std::invalid_argument);
+}
+
+// Answers `carbonedge_cli catalog nearest` gives on the checked-in sample
+// dump, including a polar point and one that no site is near.
+TEST(SiteCatalog, NearestPinsSampleCatalogAnswers) {
+  std::ifstream in(std::string(CARBONEDGE_TEST_DATA_DIR) + "/sites_sample.tsv");
+  ASSERT_TRUE(in) << "missing tests/data/sites_sample.tsv";
+  std::ostringstream text;
+  text << in.rdbuf();
+  const geo::CompiledSiteCatalog catalog(geo::parse_sites_tsv(text.str()));
+  const auto nearest_name = [&](double lat, double lon) {
+    const auto id = catalog.nearest({lat, lon});
+    return id ? catalog.by_id(*id).name : std::string("<none>");
+  };
+  EXPECT_EQ(nearest_name(52.0, 5.0), "Amsterdam");
+  EXPECT_EQ(nearest_name(78.2, 15.6), "Longyearbyen");
+  EXPECT_EQ(nearest_name(64.1, -21.9), "Reykjavik");
+  EXPECT_EQ(nearest_name(-89.0, 0.0), "Honolulu");
+}
+
+TEST(SiteCatalog, NearestBreaksDistanceTiesByLowerId) {
+  // Sites 1 and 2 mirror each other across the query's meridian; site 0 is
+  // farther away, so a first-site-wins scan would not pass.
+  std::vector<geo::City> sites = geo::parse_sites_tsv(kGoodDump);
+  sites.resize(3);
+  sites[0].location = {40.0, 0.0};
+  sites[1].location = {0.0, 10.0};
+  sites[2].location = {0.0, -10.0};
+  const geo::CompiledSiteCatalog catalog(std::move(sites));
+  const geo::GeoPoint query{0.0, 0.0};
+  ASSERT_EQ(geo::haversine_km(query, catalog.by_id(1).location),
+            geo::haversine_km(query, catalog.by_id(2).location));
+  EXPECT_EQ(catalog.nearest(query), geo::SiteId{1});
+}
+
+TEST(SiteCatalog, NearestIsNulloptOnEmptyCatalog) {
+  const geo::CompiledSiteCatalog empty;
+  EXPECT_FALSE(empty.nearest({0.0, 0.0}).has_value());
+  // A comment-only dump compiles to the same empty catalog.
+  const geo::CompiledSiteCatalog parsed(geo::parse_sites_tsv("# no sites\n"));
+  EXPECT_FALSE(parsed.nearest({52.0, 5.0}).has_value());
 }
 
 TEST(SiteCatalogCodec, RoundTripsBitExactly) {

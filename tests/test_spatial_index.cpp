@@ -1,10 +1,8 @@
-// SpatialIndex vs the brute-force oracle: the index's determinism contract
-// is bit-identity with a linear scan, so every comparison here is EXPECT_EQ
-// on indices and exact distances — never NEAR.
+// SpatialIndex::within_radius vs the brute-force oracle: the index's
+// determinism contract is bit-identity with a linear scan, so every
+// comparison here is EXPECT_EQ on indices — never NEAR.
 #include <gtest/gtest.h>
 
-#include <limits>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -54,20 +52,7 @@ std::vector<City> fuzz_sites(std::size_t n, std::uint64_t seed) {
   return sites;
 }
 
-std::uint32_t brute_nearest(const std::vector<City>& sites, const GeoPoint& point) {
-  double best_km = std::numeric_limits<double>::infinity();
-  std::uint32_t best = 0;
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    const double km = haversine_km(point, sites[i].location);
-    if (km < best_km) {
-      best_km = km;
-      best = static_cast<std::uint32_t>(i);
-    }
-  }
-  return best;
-}
-
-std::vector<std::uint32_t> brute_radius(const std::vector<City>& sites, const GeoPoint& point,
+std::vector<std::uint32_t> brute_radius(std::span<const City> sites, const GeoPoint& point,
                                         double radius_km) {
   std::vector<std::uint32_t> hits;
   for (std::size_t i = 0; i < sites.size(); ++i) {
@@ -96,19 +81,6 @@ std::vector<GeoPoint> fuzz_queries(const std::vector<City>& sites, std::uint64_t
   return queries;
 }
 
-TEST(SpatialIndex, NearestMatchesBruteForceOnFuzzedSets) {
-  for (const std::uint64_t seed : {11ull, 22ull, 33ull}) {
-    const std::vector<City> sites = fuzz_sites(257, seed);
-    const SpatialIndex index(sites);
-    for (const GeoPoint& q : fuzz_queries(sites, seed ^ 0xabcdefULL)) {
-      const auto got = index.nearest(q);
-      ASSERT_TRUE(got.has_value());
-      EXPECT_EQ(*got, brute_nearest(sites, q))
-          << "seed " << seed << " query (" << q.lat_deg << ", " << q.lon_deg << ")";
-    }
-  }
-}
-
 TEST(SpatialIndex, WithinRadiusMatchesBruteForceOnFuzzedSets) {
   const std::vector<City> sites = fuzz_sites(257, 44);
   const SpatialIndex index(sites);
@@ -121,43 +93,48 @@ TEST(SpatialIndex, WithinRadiusMatchesBruteForceOnFuzzedSets) {
 }
 
 TEST(SpatialIndex, TinySetsAndDegenerateCells) {
-  // 1-site and 2-site sets exercise the empty-cell ring expansion; antipodal
-  // sites exercise the wrap distance-exactly-cols/2 column.
+  // 1-site and 2-site sets leave almost every cell empty; antipodal sites
+  // sit in the columns on both sides of the antimeridian wrap.
   std::vector<City> pair = fuzz_sites(2, 7);
   pair[0].location = {0.0, 0.0};
   pair[1].location = {0.0, 180.0};
   const SpatialIndex index(pair);
-  EXPECT_EQ(*index.nearest({0.0, 89.0}), 0u);
-  EXPECT_EQ(*index.nearest({0.0, 91.0}), 1u);
-  EXPECT_EQ(*index.nearest({0.0, 90.0}), brute_nearest(pair, {0.0, 90.0}));
+  for (const GeoPoint q : {GeoPoint{0.0, 89.0}, GeoPoint{0.0, 91.0}, GeoPoint{0.0, 90.0},
+                           GeoPoint{0.0, -179.0}}) {
+    for (const double radius_km : {0.0, 5000.0, 10008.0, 10009.0, 20016.0}) {
+      EXPECT_EQ(index.within_radius(q, radius_km), brute_radius(pair, q, radius_km))
+          << "query (" << q.lat_deg << ", " << q.lon_deg << ") radius " << radius_km;
+    }
+  }
+  EXPECT_EQ(index.within_radius({0.0, 89.0}, 10000.0), std::vector<std::uint32_t>{0u});
+  EXPECT_EQ(index.within_radius({0.0, 91.0}, 10000.0), std::vector<std::uint32_t>{1u});
 
   const std::vector<City> one = fuzz_sites(1, 8);
-  EXPECT_EQ(*SpatialIndex(one).nearest({45.0, 45.0}), 0u);
+  EXPECT_EQ(SpatialIndex(one).within_radius(one[0].location, 0.0),
+            std::vector<std::uint32_t>{0u});
 }
 
-TEST(SpatialIndex, EmptyIndexReturnsNulloptAndNoHits) {
+TEST(SpatialIndex, EmptyIndexHasNoHits) {
   const std::vector<City> none;
   const SpatialIndex index{std::span<const City>(none)};
-  EXPECT_FALSE(index.nearest({0.0, 0.0}).has_value());
   EXPECT_TRUE(index.within_radius({0.0, 0.0}, 1000.0).empty());
 }
 
 TEST(SpatialIndex, CatalogOverloadReturnsSiteIds) {
   const auto& db = CityDatabase::builtin();
   const SpatialIndex index(db);
-  // Miami's own location must come back as Miami's SiteId.
+  // Miami's own location, radius 0, must come back as Miami's SiteId.
   const City& miami = db.require("Miami");
-  EXPECT_EQ(*index.nearest(miami.location), miami.id);
-  // And agree with the catalog's linear-scan nearest() on arbitrary points.
+  EXPECT_EQ(index.within_radius(miami.location, 0.0), std::vector<std::uint32_t>{miami.id});
+  // And agree with a scan over the catalog's sites on arbitrary points.
   for (const GeoPoint q : {GeoPoint{40.0, -100.0}, GeoPoint{48.0, 10.0}, GeoPoint{70.0, 20.0}}) {
-    EXPECT_EQ(*index.nearest(q), db.nearest(q));
+    EXPECT_EQ(index.within_radius(q, 1500.0), brute_radius(db.all(), q, 1500.0));
   }
 }
 
 TEST(SpatialIndex, PolarQueriesUseExactAnswers) {
   // Dense polar cluster: all meridians converge, which is exactly where the
-  // grid metric degenerates and the k-d fallback kicks in. Still bit-equal
-  // to brute force.
+  // grid's lon/lat cells degenerate. Still bit-equal to brute force.
   std::vector<City> sites = fuzz_sites(64, 99);
   for (std::size_t i = 0; i < sites.size(); ++i) {
     sites[i].location.lat_deg = 84.0 + 5.9 * (static_cast<double>(i) / sites.size());
@@ -167,7 +144,6 @@ TEST(SpatialIndex, PolarQueriesUseExactAnswers) {
   util::Rng rng(123);
   for (int q = 0; q < 32; ++q) {
     const GeoPoint point{80.0 + 10.0 * unit(rng), -180.0 + 360.0 * unit(rng)};
-    EXPECT_EQ(*index.nearest(point), brute_nearest(sites, point));
     EXPECT_EQ(index.within_radius(point, 300.0), brute_radius(sites, point, 300.0));
   }
 }

@@ -9,27 +9,10 @@
 namespace carbonedge::util {
 namespace {
 
-TEST(Stats, MeanVarianceStddev) {
-  const std::vector<double> v = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  EXPECT_DOUBLE_EQ(mean(v), 5.0);
-  EXPECT_DOUBLE_EQ(variance(v), 4.0);
-  EXPECT_DOUBLE_EQ(stddev(v), 2.0);
-}
-
 TEST(Stats, EmptyInputsAreZero) {
   const std::vector<double> empty;
-  EXPECT_EQ(mean(empty), 0.0);
-  EXPECT_EQ(variance(empty), 0.0);
-  EXPECT_EQ(min_value(empty), 0.0);
-  EXPECT_EQ(max_value(empty), 0.0);
   EXPECT_EQ(percentile(empty, 50.0), 0.0);
-}
-
-TEST(Stats, MinMaxSum) {
-  const std::vector<double> v = {3.0, -1.0, 7.5};
-  EXPECT_DOUBLE_EQ(min_value(v), -1.0);
-  EXPECT_DOUBLE_EQ(max_value(v), 7.5);
-  EXPECT_DOUBLE_EQ(sum(v), 9.5);
+  EXPECT_EQ(median(empty), 0.0);
 }
 
 TEST(Stats, PercentileInterpolates) {
@@ -51,18 +34,6 @@ TEST(Stats, MinMaxNormalize) {
   EXPECT_DOUBLE_EQ(minmax_normalize(-1.0, 0.0, 10.0), 0.0);  // clamps
   EXPECT_DOUBLE_EQ(minmax_normalize(11.0, 0.0, 10.0), 1.0);
   EXPECT_DOUBLE_EQ(minmax_normalize(5.0, 3.0, 3.0), 0.0);  // degenerate range
-}
-
-TEST(Stats, SummarizeReportsAllFields) {
-  std::vector<double> v;
-  for (int i = 1; i <= 100; ++i) v.push_back(static_cast<double>(i));
-  const Summary s = summarize(v);
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_DOUBLE_EQ(s.mean, 50.5);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 100.0);
-  EXPECT_NEAR(s.median, 50.5, 0.01);
-  EXPECT_NEAR(s.p95, 95.05, 0.01);
 }
 
 TEST(EmpiricalCdf, StepValuesAndQuantiles) {
@@ -95,51 +66,6 @@ TEST(EmpiricalCdf, CurveIsMonotone) {
     EXPECT_GE(curve[i].first, curve[i - 1].first);
   }
   EXPECT_DOUBLE_EQ(curve.back().second, 1.0);
-}
-
-TEST(RunningStats, MatchesBatchStatistics) {
-  Rng rng(3);
-  std::vector<double> values;
-  RunningStats rs;
-  for (int i = 0; i < 5000; ++i) {
-    const double x = rng.uniform(-5.0, 5.0);
-    values.push_back(x);
-    rs.add(x);
-  }
-  EXPECT_NEAR(rs.mean(), mean(values), 1e-9);
-  EXPECT_NEAR(rs.variance(), variance(values), 1e-9);
-  EXPECT_DOUBLE_EQ(rs.min(), min_value(values));
-  EXPECT_DOUBLE_EQ(rs.max(), max_value(values));
-}
-
-TEST(RunningStats, MergeEquivalentToConcatenation) {
-  Rng rng(4);
-  RunningStats a;
-  RunningStats b;
-  RunningStats all;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal();
-    if (i % 2 == 0) a.add(x); else b.add(x);
-    all.add(x);
-  }
-  RunningStats merged = a;
-  merged.merge(b);
-  EXPECT_EQ(merged.count(), all.count());
-  EXPECT_NEAR(merged.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(merged.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(merged.min(), all.min());
-  EXPECT_DOUBLE_EQ(merged.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a;
-  a.add(2.0);
-  RunningStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
 }
 
 }  // namespace

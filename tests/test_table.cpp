@@ -4,8 +4,6 @@
 
 #include <sstream>
 
-#include "util/csv.hpp"
-
 namespace carbonedge::util {
 namespace {
 
@@ -51,14 +49,6 @@ TEST(Table, ColumnsAreAligned) {
     if (width == 0) width = line.size();
     EXPECT_EQ(line.size(), width) << line;
   }
-}
-
-TEST(Table, CsvExportParses) {
-  Table t({"zone", "ci"});
-  t.add_row({"Miami", "243"});
-  const auto doc = parse_csv(t.to_csv());
-  ASSERT_EQ(doc.rows.size(), 1u);
-  EXPECT_EQ(doc.rows[0][0], "Miami");
 }
 
 TEST(Formatting, Percent) {

@@ -52,30 +52,6 @@ TEST(Telemetry, MeanRttPoolsAcrossEpochs) {
   EXPECT_DOUBLE_EQ(t.mean_rtt_ms(), 6.0);
 }
 
-TEST(Telemetry, PlacementCounters) {
-  Telemetry t;
-  EpochRecord a;
-  a.apps_placed = 3;
-  a.apps_rejected = 1;
-  t.record(a);
-  t.record(a);
-  EXPECT_EQ(t.total_placed(), 6u);
-  EXPECT_EQ(t.total_rejected(), 2u);
-}
-
-TEST(Telemetry, CarbonBySiteWindows) {
-  Telemetry t;
-  t.record(make_record(0, {{0, 10.0, 0, 0, 0}, {0, 1.0, 0, 0, 0}}));
-  t.record(make_record(1, {{0, 20.0, 0, 0, 0}, {0, 2.0, 0, 0, 0}}));
-  t.record(make_record(2, {{0, 40.0, 0, 0, 0}, {0, 4.0, 0, 0, 0}}));
-  const auto all = t.carbon_by_site();
-  ASSERT_EQ(all.size(), 2u);
-  EXPECT_DOUBLE_EQ(all[0], 70.0);
-  EXPECT_DOUBLE_EQ(all[1], 7.0);
-  const auto window = t.carbon_by_site(1, 2);
-  EXPECT_DOUBLE_EQ(window[0], 20.0);
-}
-
 TEST(Telemetry, AppsBySiteAveragesWindow) {
   Telemetry t;
   t.record(make_record(0, {{0, 0, 0, 4, 0}}));
@@ -98,7 +74,6 @@ TEST(Telemetry, EmptyTelemetryIsZero) {
   const Telemetry t;
   EXPECT_DOUBLE_EQ(t.total_carbon_g(), 0.0);
   EXPECT_DOUBLE_EQ(t.mean_rtt_ms(), 0.0);
-  EXPECT_TRUE(t.carbon_by_site().empty());
   EXPECT_TRUE(t.load_intensity_sample().empty());
 }
 
