@@ -14,6 +14,7 @@
 #include "core/simulation.hpp"
 #include "geo/coord.hpp"
 #include "geo/latency.hpp"
+#include "geo/sparse_latency.hpp"
 #include "geo/region.hpp"
 #include "obs/clock.hpp"
 #include "sim/datacenter.hpp"
@@ -28,19 +29,18 @@ namespace {
 struct Instance {
   sim::EdgeCluster cluster;
   carbon::CarbonIntensityService service;
-  geo::LatencyMatrix latency;
+  geo::BandedLatencyMatrix latency;
   std::vector<sim::Application> apps;
 };
 
 Instance make_instance(std::size_t servers, std::size_t apps) {
   const geo::Region region = geo::cdn_region(geo::Continent::kNorthAmerica, 40);
-  Instance inst{
-      sim::make_uniform_cluster(region,
-                                (servers + region.cities.size() - 1) / region.cities.size(),
-                                sim::DeviceType::kA2),
-      carbon::CarbonIntensityService{}, geo::LatencyMatrix{}, {}};
+  sim::EdgeCluster cluster = sim::make_uniform_cluster(
+      region, (servers + region.cities.size() - 1) / region.cities.size(),
+      sim::DeviceType::kA2);
+  geo::BandedLatencyMatrix latency(geo::LatencyModel{}, cluster.cities());
+  Instance inst{std::move(cluster), carbon::CarbonIntensityService{}, std::move(latency), {}};
   inst.service.add_region(region);
-  inst.latency = geo::LatencyMatrix(geo::LatencyModel{}, inst.cluster.cities());
   sim::WorkloadParams params;
   params.model_weights = {1.0, 1.0, 1.0, 0.0};
   params.latency_limit_rtt_ms = 30.0;

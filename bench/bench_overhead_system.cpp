@@ -10,6 +10,7 @@
 #include "core/policy.hpp"
 #include "core/problem.hpp"
 #include "geo/latency.hpp"
+#include "geo/sparse_latency.hpp"
 #include "geo/region.hpp"
 #include "obs/clock.hpp"
 #include "sim/app_model.hpp"
@@ -25,12 +26,12 @@ namespace {
 struct Testbed {
   sim::EdgeCluster cluster;
   carbon::CarbonIntensityService service;
-  geo::LatencyMatrix latency;
+  geo::BandedLatencyMatrix latency;
 
   Testbed()
-      : cluster(sim::make_uniform_cluster(geo::florida_region(), 1, sim::DeviceType::kA2)) {
+      : cluster(sim::make_uniform_cluster(geo::florida_region(), 1, sim::DeviceType::kA2)),
+        latency(geo::LatencyModel{}, cluster.cities()) {
     service.add_region(geo::florida_region());
-    latency = geo::LatencyMatrix(geo::LatencyModel{}, cluster.cities());
   }
 };
 

@@ -56,6 +56,27 @@ foreach(probe sweep single serve radius)
   message(STATUS "determinism gate: probe '${probe}' byte-identical across thread counts")
 endforeach()
 
+# Positional numbers the CLI must refuse rather than run with: a negative or
+# NaN radius, and epoch counts that are negative (std::stoul would wrap -1
+# to 4294967295) or past uint32 (a cast would wrap 4294967296 to 0). Each
+# must exit non-zero with a message before any work starts. Each item is a
+# comma-separated argument list.
+foreach(bad "radius,-5" "radius,nan" "simulate,florida,carbonedge,-1"
+            "simulate,florida,carbonedge,4294967296" "sweep,cdn_us,-1"
+            "sweep,florida,4294967296")
+  string(REPLACE "," ";" bad_args "${bad}")
+  execute_process(
+    COMMAND ${CLI} ${bad_args}
+    OUTPUT_VARIABLE bad_out
+    ERROR_VARIABLE bad_err
+    RESULT_VARIABLE status)
+  if(status EQUAL 0 OR NOT bad_err MATCHES "error: ")
+    message(FATAL_ERROR "CLI probe '${bad}' should fail with a message, "
+                        "got exit ${status}:\n${bad_out}${bad_err}")
+  endif()
+endforeach()
+message(STATUS "determinism gate: bad radius and epoch arguments rejected")
+
 # Compiled-catalog probes: build the checked-in sample dump into a scratch
 # store (no network — tests/data/sites_sample.tsv ships with the repo), then
 # run a spatial-index radius query and a banded-latency catalog sweep under
@@ -91,10 +112,13 @@ set(CATALOG_KEY ${CMAKE_MATCH_1})
 # Queries the CLI must refuse rather than answer: "nan", "inf" and 200
 # parse as numbers, so a point outside the WGS-84 ranges catalog ingest
 # enforces, a negative or infinite radius, or a number with trailing
-# characters must exit non-zero with a message. Each item is
-# "<subcommand>,<args after the key>".
+# characters must exit non-zero with a message. So must a sweep band that is
+# not a finite number above 0 (NaN and negative bands once ran unbounded),
+# and a negative epoch count. Each item is "<subcommand>,<args after the key>".
 foreach(bad "nearest,nan,5" "nearest,200,5" "nearest,52.0,-180.5" "nearest,52.0x,5"
-            "radius,52.0,5.0,-1" "radius,52.0,5.0,inf" "radius,-91,5.0,400")
+            "radius,52.0,5.0,-1" "radius,52.0,5.0,inf" "radius,-91,5.0,400"
+            "sweep,24,--max-sites=12,--band=nan" "sweep,24,--max-sites=12,--band=-5"
+            "sweep,-1")
   string(REPLACE "," ";" bad_args "${bad}")
   list(INSERT bad_args 1 ${CATALOG_KEY})
   execute_process(
@@ -129,11 +153,13 @@ if(NOT status EQUAL 1 OR NOT empty_out MATCHES "catalog is empty")
                       "and exit 1, got exit ${status}:\n${empty_out}")
 endif()
 
-# Radius query (spatial index, exact distances) and a 12-site banded sweep
-# (sparse LatencyProvider through region construction, solver, and engine).
+# Radius query (spatial index, exact distances) and a 12-site sweep without
+# and with a latency band (the unbounded and the banded latency table through
+# region construction, solver, and engine).
 set(PROBE_catalog_radius "catalog;--dir;${CATALOG_STORE};radius;${CATALOG_KEY};52.0;5.0;400")
+set(PROBE_catalog_sweep_unbounded "catalog;--dir;${CATALOG_STORE};sweep;${CATALOG_KEY};24;--max-sites=12")
 set(PROBE_catalog_sweep "catalog;--dir;${CATALOG_STORE};sweep;${CATALOG_KEY};24;--max-sites=12;--band=12")
-foreach(probe catalog_radius catalog_sweep)
+foreach(probe catalog_radius catalog_sweep_unbounded catalog_sweep)
   foreach(threads 1 4)
     execute_process(
       COMMAND ${CMAKE_COMMAND} -E env CARBONEDGE_THREADS=${threads} ${CLI} ${PROBE_${probe}}

@@ -64,6 +64,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -133,6 +134,41 @@ int usage() {
   return 2;
 }
 
+// Argument parsers: the whole string must be the number. `prefix` skips a
+// flag's `--name=`; positional arguments pass 0.
+double parse_flag_double(const std::string& arg, std::size_t prefix) {
+  std::size_t used = 0;
+  const std::string value = arg.substr(prefix);
+  const double parsed = std::stod(value, &used);
+  if (used != value.size()) throw std::invalid_argument("bad number in " + arg);
+  return parsed;
+}
+
+// Digits only: std::stoull would happily wrap "-5" to ~1.8e19.
+std::uint64_t parse_flag_unsigned(const std::string& arg, std::size_t prefix) {
+  const std::string value = arg.substr(prefix);
+  if (value.empty() || value.find_first_not_of("0123456789") != std::string::npos) {
+    throw std::invalid_argument("bad count in " + arg);
+  }
+  return std::stoull(value);
+}
+
+// An epoch or window count: a cast would wrap 4294967296 to 0.
+std::uint32_t parse_flag_u32(const std::string& arg, std::size_t prefix) {
+  const std::uint64_t value = parse_flag_unsigned(arg, prefix);
+  if (value > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("count out of range in " + arg);
+  }
+  return static_cast<std::uint32_t>(value);
+}
+
+// A number parses as "nan" or "inf": hold a radius to finite km >= 0.
+void require_valid_radius(double km) {
+  if (!(std::isfinite(km) && km >= 0.0)) {
+    throw std::invalid_argument("radius must be finite and >= 0 km: " + util::format_fixed(km, 1));
+  }
+}
+
 geo::Region region_by_name(const std::string& name) {
   if (name == "florida") return geo::florida_region();
   if (name == "west_us") return geo::west_us_region();
@@ -192,6 +228,7 @@ int cmd_analyze(const std::string& region_name) {
 }
 
 int cmd_radius(double km) {
+  require_valid_radius(km);
   std::vector<geo::City> sites = geo::cdn_region(geo::Continent::kNorthAmerica).resolve();
   const auto eu = geo::cdn_region(geo::Continent::kEurope).resolve();
   sites.insert(sites.end(), eu.begin(), eu.end());
@@ -291,22 +328,6 @@ int cmd_simulate(const std::string& region_name, const std::string& policy_name,
 
 // ----------------------------------------------------------------- serve --
 
-double parse_flag_double(const std::string& arg, std::size_t prefix) {
-  std::size_t used = 0;
-  const std::string value = arg.substr(prefix);
-  const double parsed = std::stod(value, &used);
-  if (used != value.size()) throw std::invalid_argument("bad number in " + arg);
-  return parsed;
-}
-
-std::uint64_t parse_flag_unsigned(const std::string& arg, std::size_t prefix) {
-  const std::string value = arg.substr(prefix);
-  if (value.empty() || value.find_first_not_of("0123456789") != std::string::npos) {
-    throw std::invalid_argument("bad count in " + arg);
-  }
-  return std::stoull(value);
-}
-
 // `--ema-reopt=<signal>:<fire>:<rearm>`, repeatable (one per signal).
 void parse_ema_reopt(const std::string& arg, serve::EmaReoptConfig& ema) {
   const std::string value = arg.substr(12);
@@ -349,9 +370,9 @@ int cmd_serve(std::vector<std::string> args) {
     } else if (arg == "--stdin") {
       from_stdin = true;
     } else if (arg.rfind("--epochs=", 0) == 0) {
-      epochs = static_cast<std::uint32_t>(parse_flag_unsigned(arg, 9));
+      epochs = parse_flag_u32(arg, 9);
     } else if (arg.rfind("--window-epochs=", 0) == 0) {
-      serve_config.window_epochs = static_cast<std::uint32_t>(parse_flag_unsigned(arg, 16));
+      serve_config.window_epochs = parse_flag_u32(arg, 16);
     } else if (arg.rfind("--queue-capacity=", 0) == 0) {
       serve_config.queue_capacity = parse_flag_unsigned(arg, 17);
     } else if (arg == "--ooo=drop") {
@@ -533,14 +554,7 @@ int cmd_store_gc(const store::ArtifactStore& artifacts, const std::vector<std::s
   std::uintmax_t max_bytes = 0;
   for (const std::string& arg : args) {
     if (arg.rfind("--max-bytes=", 0) == 0) {
-      const std::string value = arg.substr(12);
-      // All-digits check up front: std::stoull would happily wrap "-5" to
-      // ~1.8e19 and bless an effectively unlimited cap.
-      if (value.empty() ||
-          value.find_first_not_of("0123456789") != std::string::npos) {
-        throw std::invalid_argument("bad --max-bytes: " + value);
-      }
-      max_bytes = std::stoull(value);
+      max_bytes = parse_flag_unsigned(arg, 12);
     } else {
       std::cerr << "error: unknown gc argument " << arg << "\n";
       return 2;
@@ -633,7 +647,7 @@ int cmd_catalog_info(const store::ArtifactStore& artifacts, const std::string& k
 }
 
 // A number parses as "nan", "inf" or 200: hold a query point to the WGS-84
-// ranges catalog_io enforces at ingest, and a radius to finite km >= 0.
+// ranges catalog_io enforces at ingest.
 void require_valid_query(double lat, double lon, double km) {
   if (!(lat >= -90.0 && lat <= 90.0)) {
     throw std::invalid_argument("latitude out of range [-90, 90]: " + util::format_fixed(lat, 4));
@@ -642,9 +656,7 @@ void require_valid_query(double lat, double lon, double km) {
     throw std::invalid_argument("longitude out of range [-180, 180]: " +
                                 util::format_fixed(lon, 4));
   }
-  if (!(std::isfinite(km) && km >= 0.0)) {
-    throw std::invalid_argument("radius must be finite and >= 0 km: " + util::format_fixed(km, 1));
-  }
+  require_valid_radius(km);
 }
 
 int cmd_catalog_nearest(const store::ArtifactStore& artifacts, const std::string& key,
@@ -686,14 +698,18 @@ int cmd_catalog_radius(const store::ArtifactStore& artifacts, const std::string&
 
 int cmd_catalog_sweep(const store::ArtifactStore& artifacts, std::vector<std::string> args) {
   const std::string key = args[0];
-  const std::uint32_t epochs = static_cast<std::uint32_t>(std::stoul(args[1]));
+  const std::uint32_t epochs = parse_flag_u32(args[1], 0);
   std::size_t max_sites = 0;
-  double band = 0.0;
+  double band = 0.0;  // no band
   for (std::size_t i = 2; i < args.size(); ++i) {
     if (args[i].rfind("--max-sites=", 0) == 0) {
       max_sites = parse_flag_unsigned(args[i], 12);
     } else if (args[i].rfind("--band=", 0) == 0) {
       band = parse_flag_double(args[i], 7);
+      // "nan" and "-5" parse as numbers; neither may fall back to no band.
+      if (!(std::isfinite(band) && band > 0.0)) {
+        throw std::invalid_argument("band must be a finite number of ms above 0: " + args[i]);
+      }
     } else {
       std::cerr << "error: unknown catalog sweep argument " << args[i] << "\n";
       return 2;
@@ -705,8 +721,8 @@ int cmd_catalog_sweep(const store::ArtifactStore& artifacts, std::vector<std::st
       geo::catalog_region(catalog, "catalog " + key.substr(0, 8), max_sites);
 
   // The same engine knobs as `sweep --single`, collapsed to one CarbonEdge
-  // cell; --band switches the cell's geography to the sparse
-  // BandedLatencyMatrix. No sweep store is attached even though a --dir is
+  // cell; --band drops the site pairs beyond it from the cell's latency
+  // table (without it, every pair is kept). No sweep store is attached even though a --dir is
   // in hand: the determinism gate reruns this at several thread counts and
   // must diff recomputations, not a warm resume.
   core::SimulationConfig config;
@@ -811,9 +827,9 @@ int dispatch(int argc, char** argv) {
   try {
     if (command == "zones") return cmd_zones();
     if (command == "analyze" && argc >= 3) return cmd_analyze(argv[2]);
-    if (command == "radius" && argc >= 3) return cmd_radius(std::stod(argv[2]));
+    if (command == "radius" && argc >= 3) return cmd_radius(parse_flag_double(argv[2], 0));
     if (command == "simulate" && argc >= 5) {
-      return cmd_simulate(argv[2], argv[3], static_cast<std::uint32_t>(std::stoul(argv[4])));
+      return cmd_simulate(argv[2], argv[3], parse_flag_u32(argv[4], 0));
     }
     if (command == "sweep" && argc >= 4) {
       bool single = false;
@@ -823,7 +839,7 @@ int dispatch(int argc, char** argv) {
         if (std::string(argv[4]) != "--single" || argc > 5) return usage();
         single = true;
       }
-      return cmd_sweep(argv[2], static_cast<std::uint32_t>(std::stoul(argv[3])), single);
+      return cmd_sweep(argv[2], parse_flag_u32(argv[3], 0), single);
     }
     if (command == "serve" && argc >= 3) {
       return cmd_serve(std::vector<std::string>(argv + 2, argv + argc));

@@ -13,6 +13,7 @@
 #include "core/policy.hpp"
 #include "core/problem.hpp"
 #include "geo/latency.hpp"
+#include "geo/sparse_latency.hpp"
 #include "geo/region.hpp"
 #include "obs/clock.hpp"
 #include "sim/app_model.hpp"
@@ -32,7 +33,7 @@ int main() {
 
   // 2. Build an edge cluster: one NVIDIA A2 server per city.
   sim::EdgeCluster cluster = sim::make_uniform_cluster(region, 1, sim::DeviceType::kA2);
-  const geo::LatencyMatrix latency(geo::LatencyModel{}, cluster.cities());
+  const geo::BandedLatencyMatrix latency(geo::LatencyModel{}, cluster.cities());
 
   // 3. A batch of arriving applications: one ResNet50 inference service per
   //    city, 5 req/s each, 20 ms round-trip SLO.

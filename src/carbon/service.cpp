@@ -11,11 +11,6 @@ namespace carbonedge::carbon {
 CarbonIntensityService::CarbonIntensityService()
     : forecaster_(std::make_unique<OracleForecaster>()) {}
 
-CarbonIntensityService::CarbonIntensityService(std::unique_ptr<Forecaster> forecaster)
-    : forecaster_(std::move(forecaster)) {
-  if (!forecaster_) throw std::invalid_argument("forecaster must be non-null");
-}
-
 void CarbonIntensityService::add_trace(CarbonTrace trace) {
   add_trace(std::make_shared<const CarbonTrace>(std::move(trace)));
 }

@@ -20,7 +20,6 @@ class CarbonIntensityService {
  public:
   /// Service with an oracle forecaster (matches the paper's trace replay).
   CarbonIntensityService();
-  explicit CarbonIntensityService(std::unique_ptr<Forecaster> forecaster);
 
   /// Register a trace for a zone; replaces any existing trace of that name.
   void add_trace(CarbonTrace trace);

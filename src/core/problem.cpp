@@ -8,8 +8,6 @@
 namespace carbonedge::core {
 namespace {
 
-using solver::kInfinity;
-
 /// Min/max of the per-pair values (for Eq. 8 normalization); {0, 0} when
 /// there are no pairs.
 std::pair<double, double> value_range(const std::vector<double>& values) {
@@ -61,12 +59,11 @@ BuiltProblem build_problem(const PlacementInput& input, std::span<const sim::App
   }
 
   // Pass 1: the physical pairs (latency + model-support + live server), in
-  // ascending (app, server) order, with their demands. Per-app site RTTs
-  // are gathered once ahead of the server loop from the origin's
-  // neighborhood (every other site is +inf, exactly what the Eq. 2 filter
-  // drops), so the inner loop does an array lookup instead of a provider
-  // query per server — and under a banded provider the build stops scaling
-  // with n^2 site pairs.
+  // ascending (app, server) order, with their demands. Servers are numbered
+  // site-major, so walking the origin's latency row (sites ascending) and
+  // each in-SLO site's server range visits servers in ascending order while
+  // skipping every site out of the band or the Eq. 2 limit — the build
+  // scales with the neighborhood, not with n^2 site pairs.
   struct PairDemand {
     std::size_t app;
     std::size_t server;
@@ -74,27 +71,29 @@ BuiltProblem build_problem(const PlacementInput& input, std::span<const sim::App
     double compute;
   };
   std::vector<PairDemand> pairs;
-  std::vector<double> site_rtt(input.cluster->sites().size(), kInfinity);
+  std::vector<std::size_t> site_first(input.cluster->sites().size() + 1, 0);
+  for (const sim::EdgeCluster::ServerRef& ref : built.servers) ++site_first[ref.site + 1];
+  for (std::size_t s = 0; s + 1 < site_first.size(); ++s) site_first[s + 1] += site_first[s];
   for (std::size_t i = 0; i < num_apps; ++i) {
     const sim::Application& app = apps[i];
-    std::fill(site_rtt.begin(), site_rtt.end(), kInfinity);
-    for (const std::uint32_t s : input.latency->neighbors(app.origin_site)) {
-      site_rtt[s] = 2.0 * input.latency->one_way_ms(app.origin_site, s);
-    }
-    for (std::size_t j = 0; j < num_servers; ++j) {
-      const sim::EdgeServer& server = *built.servers[j].server;
-      if (server.failed()) continue;  // crashed servers take no load
-      const double rtt = site_rtt[built.servers[j].site];
-      if (rtt >= kInfinity || rtt > app.latency_limit_rtt_ms + 1e-9) continue;  // Eq. 2 filter
-      const sim::ProfileResult prof = sim::profile_of(app.model, server.device());
-      if (!prof.supported) continue;
-      const double watts = prof.profile.energy_j * app.rps;  // dynamic draw
-      const double energy = watts * input.epoch_hours;       // Wh over the epoch
-      built.rtt_ms.push_back(rtt);
-      built.energy_wh.push_back(energy);
-      built.carbon_g.push_back(energy / 1000.0 * built.mean_intensity[j]);
-      pairs.push_back({i, j, prof.profile.memory_mb,
-                       sim::compute_demand_per_rps(app.model, server.device()) * app.rps});
+    const auto sites = input.latency->neighbors(app.origin_site);
+    const auto one_way = input.latency->neighbor_ms(app.origin_site);
+    for (std::size_t k = 0; k < sites.size(); ++k) {
+      const double rtt = 2.0 * one_way[k];
+      if (exceeds_rtt_limit(app, rtt)) continue;  // Eq. 2 filter
+      for (std::size_t j = site_first[sites[k]]; j < site_first[sites[k] + 1]; ++j) {
+        const sim::EdgeServer& server = *built.servers[j].server;
+        if (server.failed()) continue;  // crashed servers take no load
+        const sim::ProfileResult prof = sim::profile_of(app.model, server.device());
+        if (!prof.supported) continue;
+        const double watts = prof.profile.energy_j * app.rps;  // dynamic draw
+        const double energy = watts * input.epoch_hours;       // Wh over the epoch
+        built.rtt_ms.push_back(rtt);
+        built.energy_wh.push_back(energy);
+        built.carbon_g.push_back(energy / 1000.0 * built.mean_intensity[j]);
+        pairs.push_back({i, j, prof.profile.memory_mb,
+                         sim::compute_demand_per_rps(app.model, server.device()) * app.rps});
+      }
     }
   }
 

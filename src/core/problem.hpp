@@ -1,5 +1,5 @@
 // Placement problem construction: turns cluster state + carbon forecasts +
-// latency matrix + a policy into a solver::AssignmentProblem (the Eq. 1-7
+// site latency + a policy into a solver::AssignmentProblem (the Eq. 1-7
 // model after Algorithm 1's latency pre-filtering). Only pairs that pass
 // the filter exist: the problem's pair list and the physical quantities
 // behind each pair's cost share one pair index.
@@ -10,7 +10,7 @@
 #include "carbon/caltime.hpp"
 #include "carbon/service.hpp"
 #include "core/policy.hpp"
-#include "geo/latency.hpp"
+#include "geo/sparse_latency.hpp"
 #include "sim/datacenter.hpp"
 #include "sim/workload.hpp"
 #include "solver/assignment.hpp"
@@ -20,7 +20,7 @@ namespace carbonedge::core {
 /// Inputs shared by every placement call of one epoch.
 struct PlacementInput {
   sim::EdgeCluster* cluster = nullptr;
-  const geo::LatencyProvider* latency = nullptr;      // site x site one-way ms
+  const geo::BandedLatencyMatrix* latency = nullptr;  // site x site one-way ms
   const carbon::CarbonIntensityService* carbon = nullptr;
   carbon::HourIndex now = 0;
   std::uint32_t forecast_horizon_hours = 1;  // window for the mean forecast Ī_j
@@ -39,6 +39,13 @@ struct BuiltProblem {
   std::vector<double> carbon_g;
   std::vector<double> mean_intensity;  // Ī per server
 };
+
+/// The Eq. 2 latency filter, in one place for the problem build and the
+/// engine's own scans: true when a round trip of `rtt_ms` breaks the app's
+/// SLO (1e-9 ms slack so a pair exactly at the limit stays feasible).
+[[nodiscard]] inline bool exceeds_rtt_limit(const sim::Application& app, double rtt_ms) noexcept {
+  return rtt_ms > app.latency_limit_rtt_ms + 1e-9;
+}
 
 /// Build the assignment problem for a batch of applications under `policy`.
 /// Resource dimensions: device memory (MB) and compute busy-fraction, taken

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "carbon/caltime.hpp"
 #include "geo/site.hpp"
-#include "geo/sparse_latency.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
@@ -76,7 +76,7 @@ constexpr std::size_t kNoAccountedSite = static_cast<std::size_t>(-1);
 
 SimulationEngine::SimulationEngine(sim::EdgeCluster cluster,
                                    const carbon::CarbonIntensityService& carbon,
-                                   const geo::LatencyProvider& latency,
+                                   const geo::BandedLatencyMatrix& latency,
                                    const SimulationConfig& config)
     : config_(config),
       cluster_(std::move(cluster)),
@@ -292,17 +292,18 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
         const std::string& zone = cluster_.sites()[entry.site].zone();
         const double current_rate = carbon_rate_g(entry.app, current, zone);
         double best_rate = current_rate;
-        // The scan covers the origin's neighborhood; sites a banded
-        // provider leaves out are +inf RTT, i.e. exactly the ones the filter
-        // below would drop, and best_rate is an order-independent min — so
-        // the verdicts match a scan over every site bit for bit.
-        for (const std::size_t site : latency_->neighbors(entry.app.origin_site)) {
-          const double rtt = 2.0 * latency_->one_way_ms(entry.app.origin_site, site);
-          if (rtt > entry.app.latency_limit_rtt_ms + 1e-9) continue;
-          for (const sim::EdgeServer& server : cluster_.sites()[site].servers()) {
+        // The scan covers the origin's latency row; every other site is
+        // outside the band (+inf RTT, which the filter below drops), and
+        // best_rate is an order-independent min — so the verdicts match a
+        // scan over every site bit for bit.
+        const auto sites = latency_->neighbors(entry.app.origin_site);
+        const auto one_way = latency_->neighbor_ms(entry.app.origin_site);
+        for (std::size_t k = 0; k < sites.size(); ++k) {
+          if (exceeds_rtt_limit(entry.app, 2.0 * one_way[k])) continue;
+          const sim::EdgeDataCenter& site = cluster_.sites()[sites[k]];
+          for (const sim::EdgeServer& server : site.servers()) {
             if (!server.can_host(entry.app.model, entry.app.rps)) continue;
-            const double rate =
-                carbon_rate_g(entry.app, server, cluster_.sites()[site].zone());
+            const double rate = carbon_rate_g(entry.app, server, site.zone());
             if (rate >= 0.0) best_rate = std::min(best_rate, rate);
           }
         }
@@ -353,7 +354,8 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
   };
   for (const PlacementDecision& decision : placement.decisions) {
     hosted_.emplace(decision.app,
-                    HostedApp{*by_id.at(decision.app), decision.site, decision.server});
+                    HostedApp{*by_id.at(decision.app), decision.site, decision.server,
+                              decision.rtt_ms});
     // Account data movement for re-optimized (or earlier-displaced) apps
     // that changed site.
     const auto prev = previous_placement.find(decision.app);
@@ -402,18 +404,16 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
       // not cover power state, and activating a cold server here would
       // bypass the optimizer's Eq. 5 activation decision, so off servers
       // are skipped.
-      // Neighbor prefilter as in the veto scan: candidates stay in
+      // The origin's latency row as in the veto scan: candidates stay in
       // ascending site order, so "first feasible" is the same server.
-      for (const std::size_t site : latency_->neighbors(app.origin_site)) {
-        if (target != nullptr) break;
-        if (2.0 * latency_->one_way_ms(app.origin_site, site) >
-            app.latency_limit_rtt_ms + 1e-9) {
-          continue;
-        }
-        for (sim::EdgeServer& server : cluster_.sites()[site].servers()) {
+      const auto sites = latency_->neighbors(app.origin_site);
+      const auto one_way = latency_->neighbor_ms(app.origin_site);
+      for (std::size_t k = 0; k < sites.size() && target == nullptr; ++k) {
+        if (exceeds_rtt_limit(app, 2.0 * one_way[k])) continue;
+        for (sim::EdgeServer& server : cluster_.sites()[sites[k]].servers()) {
           if (server.powered_on() && server.can_host(app.model, app.rps)) {
             target = &server;
-            target_site = site;
+            target_site = sites[k];
             break;
           }
         }
@@ -428,7 +428,8 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
     }
     if (target != nullptr) {
       target->host(sim::AppInstance{id, app.model, app.rps});
-      hosted_.emplace(id, HostedApp{app, target_site, target->id()});
+      hosted_.emplace(id, HostedApp{app, target_site, target->id(),
+                                    2.0 * latency_->one_way_ms(app.origin_site, target_site)});
       // Landing away from the app's previous site is a real (forced)
       // move and pays the transfer emissions like any other migration —
       // except for crash victims, whose old server is gone.
@@ -473,10 +474,9 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
   snapshot_hosted();
   for (const auto& [id, hosted] : hosted_snapshot_) {
     const HostedApp& entry = *hosted;
-    const double rtt = 2.0 * latency_->one_way_ms(entry.app.origin_site, entry.site);
     const double response =
-        rtt + find_server(entry.site, entry.server).mean_service_ms(entry.app.model);
-    record.rtt_weighted_sum_ms += rtt * entry.app.rps;
+        entry.rtt_ms + find_server(entry.site, entry.server).mean_service_ms(entry.app.model);
+    record.rtt_weighted_sum_ms += entry.rtt_ms * entry.app.rps;
     record.response_weighted_sum_ms += response * entry.app.rps;
     record.rps_total += entry.app.rps;
     result_.telemetry.add_response_sample(response, entry.app.rps);
@@ -525,15 +525,12 @@ EdgeSimulation::EdgeSimulation(sim::EdgeCluster cluster,
                                const carbon::CarbonIntensityService& carbon,
                                geo::LatencyModel latency_model,
                                double latency_band_one_way_ms)
-    : pristine_(std::move(cluster)), carbon_(&carbon) {
-  const std::vector<geo::City> cities = pristine_.cities();
-  if (latency_band_one_way_ms > 0.0) {
-    latency_ = std::make_unique<geo::BandedLatencyMatrix>(
-        latency_model, cities, latency_band_one_way_ms);
-  } else {
-    latency_ = std::make_unique<geo::LatencyMatrix>(latency_model, cities);
-  }
-  for (const geo::City& city : cities) {
+    : pristine_(std::move(cluster)),
+      carbon_(&carbon),
+      latency_(latency_model, pristine_.cities(),
+               latency_band_one_way_ms == 0.0 ? std::numeric_limits<double>::infinity()
+                                              : latency_band_one_way_ms) {
+  for (const geo::City& city : pristine_.cities()) {
     if (!carbon_->has_zone(city.name)) {
       throw std::invalid_argument("carbon service has no trace for zone " + city.name);
     }
@@ -543,7 +540,7 @@ EdgeSimulation::EdgeSimulation(sim::EdgeCluster cluster,
 SimulationResult EdgeSimulation::run(const SimulationConfig& config) {
   // Fresh state per run: the engine starts from a pristine cluster copy and
   // the workload stream depends only on the config seed.
-  SimulationEngine engine(pristine_, *carbon_, *latency_, config);
+  SimulationEngine engine(pristine_, *carbon_, latency_, config);
   sim::WorkloadGenerator generator(config.workload, engine.cluster());
   for (std::uint32_t epoch = 0; epoch < config.epochs; ++epoch) {
     engine.step(generator.arrivals(epoch));

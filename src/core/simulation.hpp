@@ -5,7 +5,6 @@
 #pragma once
 
 #include <map>
-#include <memory>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -17,6 +16,7 @@
 #include "core/policy.hpp"
 #include "core/power_manager.hpp"
 #include "geo/latency.hpp"
+#include "geo/sparse_latency.hpp"
 #include "sim/datacenter.hpp"
 #include "sim/server.hpp"
 #include "sim/telemetry.hpp"
@@ -132,7 +132,7 @@ class SimulationEngine {
   /// `cluster` is the initial state (a pristine copy, never shared).
   /// `latency` and `carbon` must outlive the engine.
   SimulationEngine(sim::EdgeCluster cluster, const carbon::CarbonIntensityService& carbon,
-                   const geo::LatencyProvider& latency, const SimulationConfig& config);
+                   const geo::BandedLatencyMatrix& latency, const SimulationConfig& config);
   SimulationEngine(const SimulationEngine&) = delete;
   SimulationEngine& operator=(const SimulationEngine&) = delete;
 
@@ -170,6 +170,7 @@ class SimulationEngine {
     sim::Application app;
     std::size_t site = 0;
     std::uint32_t server = 0;
+    double rtt_ms = 0.0;  // origin -> site round trip, fixed while hosted
   };
 
   [[nodiscard]] sim::EdgeServer& find_server(std::size_t site, std::uint32_t server_id);
@@ -182,7 +183,7 @@ class SimulationEngine {
   SimulationConfig config_;
   sim::EdgeCluster cluster_;
   const carbon::CarbonIntensityService* carbon_;
-  const geo::LatencyProvider* latency_;
+  const geo::BandedLatencyMatrix* latency_;
   PlacementService service_;
   PowerManager power_manager_;
   Orchestrator orchestrator_;
@@ -222,19 +223,21 @@ class SimulationEngine {
 /// only on its config, never on CARBONEDGE_THREADS.
 class EdgeSimulation {
  public:
-  /// `latency_band_one_way_ms == 0` builds the dense LatencyMatrix over the
-  /// cluster's sites; a positive band builds the sparse BandedLatencyMatrix
-  /// instead (pairs beyond the band are never-feasible), which is what lets
-  /// 1000+-site geographies skip the n^2 materialization. The band is a
-  /// construction-time property of the geography, not a per-run config
-  /// knob, because the serving mode builds engines from latency() directly.
+  /// Builds the BandedLatencyMatrix over the cluster's sites with a one-way
+  /// band of `latency_band_one_way_ms`; pairs beyond it are never feasible,
+  /// which is what lets 1000+-site geographies skip the n^2 pair table.
+  /// Exactly 0 means "no band" and keeps every pair; any other band the
+  /// matrix rejects (negative, NaN, at or below the base latency) throws
+  /// std::invalid_argument. The band is a construction-time property of the
+  /// geography, not a per-run config knob, because the serving mode builds
+  /// engines from latency() directly.
   EdgeSimulation(sim::EdgeCluster cluster, const carbon::CarbonIntensityService& carbon,
                  geo::LatencyModel latency_model = geo::LatencyModel{},
                  double latency_band_one_way_ms = 0.0);
 
   [[nodiscard]] SimulationResult run(const SimulationConfig& config);
 
-  [[nodiscard]] const geo::LatencyProvider& latency() const noexcept { return *latency_; }
+  [[nodiscard]] const geo::BandedLatencyMatrix& latency() const noexcept { return latency_; }
   [[nodiscard]] const sim::EdgeCluster& pristine_cluster() const noexcept { return pristine_; }
   [[nodiscard]] const carbon::CarbonIntensityService& carbon_service() const noexcept {
     return *carbon_;
@@ -243,7 +246,7 @@ class EdgeSimulation {
  private:
   sim::EdgeCluster pristine_;
   const carbon::CarbonIntensityService* carbon_;
-  std::unique_ptr<const geo::LatencyProvider> latency_;
+  geo::BandedLatencyMatrix latency_;
 };
 
 /// Convenience: run one config for each policy on identical workloads and

@@ -1,7 +1,5 @@
 #include "geo/latency.hpp"
 
-#include <numeric>
-
 #include "util/random.hpp"
 
 namespace carbonedge::geo {
@@ -30,29 +28,6 @@ double LatencyModel::one_way_ms(const City& a, const City& b) const noexcept {
       params_.inflation_span * unit_from_hash(pair_hash(a, b, params_.seed));
   if (a.country != b.country) inflation += params_.cross_border_penalty;
   return params_.base_ms + km / params_.fiber_km_per_ms * inflation;
-}
-
-namespace {
-
-std::vector<std::uint32_t> ascending_sites(std::size_t count) {
-  std::vector<std::uint32_t> sites(count);
-  std::iota(sites.begin(), sites.end(), std::uint32_t{0});
-  return sites;
-}
-
-}  // namespace
-
-LatencyMatrix::LatencyMatrix(const LatencyModel& model, std::span<const City> cities)
-    : count_(cities.size()),
-      values_(cities.size() * cities.size(), 0.0),
-      all_sites_(ascending_sites(cities.size())) {
-  for (std::size_t i = 0; i < count_; ++i) {
-    for (std::size_t j = i + 1; j < count_; ++j) {
-      const double ms = model.one_way_ms(cities[i], cities[j]);
-      values_[i * count_ + j] = ms;
-      values_[j * count_ + i] = ms;
-    }
-  }
 }
 
 }  // namespace carbonedge::geo

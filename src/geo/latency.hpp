@@ -10,11 +10,12 @@
 // plus a penalty when the pair crosses a country border (inter-AS routing
 // detours). Calibrated against Table 1 of the paper: Florida pairs land in
 // 1.9-7.2 ms one-way, Central-EU pairs in 4-16 ms.
+//
+// The site-indexed table that placement and the engine read (L_ij in
+// Table 2) is BandedLatencyMatrix in sparse_latency.hpp.
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "geo/site.hpp"
 
@@ -46,65 +47,6 @@ class LatencyModel {
 
  private:
   LatencyModelParams params_;
-};
-
-/// Site-indexed latency oracle: what placement and the simulation engine
-/// consume (L_ij in Table 2). Implementations are either dense
-/// (LatencyMatrix) or banded-sparse (BandedLatencyMatrix in
-/// sparse_latency.hpp); out-of-band pairs report +infinity one-way, which
-/// the RTT feasibility filters treat as "never feasible".
-class LatencyProvider {
- public:
-  virtual ~LatencyProvider() = default;
-
-  /// Number of sites the provider covers (indices are [0, size())).
-  [[nodiscard]] virtual std::size_t size() const noexcept = 0;
-
-  /// One-way latency in ms between site indices; +infinity when the pair is
-  /// outside the provider's band.
-  [[nodiscard]] virtual double one_way_ms(std::size_t i,
-                                          std::size_t j) const noexcept = 0;
-
-  /// Round-trip latency (2x one-way).
-  [[nodiscard]] double rtt_ms(std::size_t i, std::size_t j) const noexcept {
-    return 2.0 * one_way_ms(i, j);
-  }
-
-  /// Candidate sites with finite latency from site `i`, indices ascending;
-  /// every site outside the list is +infinity. The dense provider lists all
-  /// sites. This is a prefilter only — entries may still be infeasible for
-  /// a given RTT limit; it exists so feasibility loops over thousands of
-  /// sites skip the out-of-band majority.
-  [[nodiscard]] virtual std::span<const std::uint32_t> neighbors(
-      std::size_t i) const noexcept = 0;
-
- protected:
-  LatencyProvider() = default;
-  LatencyProvider(const LatencyProvider&) = default;
-  LatencyProvider& operator=(const LatencyProvider&) = default;
-};
-
-/// Dense symmetric one-way latency matrix over an ordered set of cities.
-class LatencyMatrix final : public LatencyProvider {
- public:
-  LatencyMatrix() = default;
-  LatencyMatrix(const LatencyModel& model, std::span<const City> cities);
-
-  [[nodiscard]] double one_way_ms(std::size_t i,
-                                  std::size_t j) const noexcept override {
-    return values_[i * count_ + j];
-  }
-  [[nodiscard]] std::size_t size() const noexcept override { return count_; }
-  /// Every site, 0..size()-1: one list shared by all rows.
-  [[nodiscard]] std::span<const std::uint32_t> neighbors(
-      std::size_t /*i*/) const noexcept override {
-    return all_sites_;
-  }
-
- private:
-  std::size_t count_ = 0;
-  std::vector<double> values_;
-  std::vector<std::uint32_t> all_sites_;
 };
 
 }  // namespace carbonedge::geo

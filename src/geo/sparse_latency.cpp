@@ -13,19 +13,23 @@ BandedLatencyMatrix::BandedLatencyMatrix(const LatencyModel& model,
                                          double band_one_way_ms)
     : band_ms_(band_one_way_ms) {
   const LatencyModelParams& p = model.params();
-  if (band_ms_ <= p.base_ms) {
+  // Negated so a NaN band fails too: it would otherwise keep no entry, not
+  // even the diagonal, and leave every app silently infeasible.
+  if (!(band_ms_ > p.base_ms)) {
     throw std::invalid_argument(
         "banded latency: band must exceed the base one-way latency");
   }
-  // Conservative model inversion: no in-band pair can be farther than this.
+  // Conservative model inversion: no in-band pair can be farther than this
+  // (+infinity for an unbounded band, which the index answers with every
+  // site).
   const double radius_km =
       (band_ms_ - p.base_ms) * p.fiber_km_per_ms / p.inflation_min;
 
   const SpatialIndex index(cities);
   row_start_.assign(cities.size() + 1, 0);
   for (std::size_t i = 0; i < cities.size(); ++i) {
-    // Candidates ascending; exact model decides membership, so the band is
-    // symmetric and bit-identical to the dense matrix on its support.
+    // Candidates ascending; the exact model decides membership, so the band
+    // is symmetric and each stored value is exactly the model's.
     for (const std::uint32_t j :
          index.within_radius(cities[i].location, radius_km)) {
       const double ms = i == static_cast<std::size_t>(j)
@@ -49,12 +53,6 @@ double BandedLatencyMatrix::one_way_ms(std::size_t i,
     return std::numeric_limits<double>::infinity();
   }
   return values_[static_cast<std::size_t>(it - cols_.begin())];
-}
-
-std::span<const std::uint32_t> BandedLatencyMatrix::neighbors(
-    std::size_t i) const noexcept {
-  return std::span<const std::uint32_t>(cols_).subspan(
-      row_start_[i], row_start_[i + 1] - row_start_[i]);
 }
 
 }  // namespace carbonedge::geo

@@ -60,9 +60,9 @@ struct Scenario {
   /// Forecaster name for the cell's carbon service (carbon::make_forecaster;
   /// empty keeps the service default, the oracle).
   std::string forecaster;
-  /// One-way latency band for the cell's geography (EdgeSimulation ctor);
-  /// 0 keeps the dense LatencyMatrix, positive builds the sparse
-  /// BandedLatencyMatrix so planet-scale regions skip the n^2 pair table.
+  /// One-way latency band of the cell's BandedLatencyMatrix (EdgeSimulation
+  /// ctor): 0 keeps every site pair, a positive band drops the pairs beyond
+  /// it so planet-scale regions skip the n^2 pair table.
   double latency_band_ms = 0.0;
   core::SimulationConfig config;
 };
@@ -86,7 +86,7 @@ class ScenarioGrid {
   ScenarioGrid& with_epochs(std::vector<std::uint32_t> epochs);
   /// Round-trip latency SLO sweep (workload.latency_limit_rtt_ms, Fig. 12).
   ScenarioGrid& with_rtt_limits(std::vector<double> limits);
-  /// Latency-band sweep (Scenario::latency_band_ms; 0 = dense matrix).
+  /// Latency-band sweep (Scenario::latency_band_ms; 0 = no band).
   ScenarioGrid& with_latency_bands(std::vector<double> bands);
   /// Arrival-intensity sweep (workload.arrivals_per_site, Fig. 16's low vs
   /// high utilization).

@@ -118,7 +118,7 @@ std::string SweepStore::fingerprint(const runner::Scenario& scenario) {
     fp.mix(carbon::TraceCache::key_of(catalog.spec_for(city), carbon::SynthesizerParams{}));
   }
   // The latency band changes the feasible-pair geography, so banded and
-  // dense runs of the same cell are distinct outcomes.
+  // unbanded (0) runs of the same cell are distinct outcomes.
   fp.mix(scenario.latency_band_ms);
   const runner::DeviceMix& mix = scenario.mix;
   fp.mix(static_cast<std::uint64_t>(mix.devices.size()));

@@ -43,18 +43,4 @@ double EmpiricalCdf::quantile(double q) const noexcept {
   return sorted_[index];
 }
 
-std::vector<std::pair<double, double>> EmpiricalCdf::curve(std::size_t points) const {
-  std::vector<std::pair<double, double>> out;
-  if (sorted_.empty() || points == 0) return out;
-  const double lo = sorted_.front();
-  const double hi = sorted_.back();
-  out.reserve(points);
-  for (std::size_t i = 0; i < points; ++i) {
-    const double x =
-        points == 1 ? hi : lo + (hi - lo) * static_cast<double>(i) / static_cast<double>(points - 1);
-    out.emplace_back(x, at(x));
-  }
-  return out;
-}
-
 }  // namespace carbonedge::util

@@ -38,10 +38,6 @@ class EmpiricalCdf {
   [[nodiscard]] bool empty() const noexcept { return sorted_.empty(); }
   [[nodiscard]] const std::vector<double>& sorted_sample() const noexcept { return sorted_; }
 
-  /// Evaluate the CDF at `points` evenly spaced x positions spanning the
-  /// sample range; returns (x, F(x)) pairs — handy for printing curves.
-  [[nodiscard]] std::vector<std::pair<double, double>> curve(std::size_t points) const;
-
  private:
   std::vector<double> sorted_;
 };

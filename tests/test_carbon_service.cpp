@@ -61,10 +61,6 @@ TEST(CarbonService, ForecastSeriesHasRequestedHorizon) {
   EXPECT_EQ(service.forecast("z", 0, 5).size(), 5u);
 }
 
-TEST(CarbonService, NullForecasterCtorThrows) {
-  EXPECT_THROW(CarbonIntensityService(nullptr), std::invalid_argument);
-}
-
 TEST(CarbonService, CustomSynthesizerParamsPropagate) {
   CarbonIntensityService a;
   SynthesizerParams params;

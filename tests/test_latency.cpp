@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "geo/region.hpp"
+#include "geo/sparse_latency.hpp"
 
 namespace carbonedge::geo {
 namespace {
@@ -93,17 +94,18 @@ TEST(LatencyModel, CrossBorderPairsPayPenalty) {
   EXPECT_DOUBLE_EQ(penalized.one_way_ms(tampa, orlando), flat.one_way_ms(tampa, orlando));
 }
 
-TEST(LatencyMatrix, MatchesModelAndIsSymmetric) {
+TEST(SiteLatency, UnboundedBandMatchesModelAndIsSymmetric) {
   const LatencyModel model;
   const auto cities = florida_region().resolve();
-  const LatencyMatrix matrix(model, cities);
+  const BandedLatencyMatrix matrix(model, cities);
   ASSERT_EQ(matrix.size(), cities.size());
   for (std::size_t i = 0; i < cities.size(); ++i) {
-    EXPECT_DOUBLE_EQ(matrix.one_way_ms(i, i), 0.0);
+    EXPECT_EQ(matrix.one_way_ms(i, i), 0.0);
     for (std::size_t j = 0; j < cities.size(); ++j) {
-      EXPECT_DOUBLE_EQ(matrix.one_way_ms(i, j), matrix.one_way_ms(j, i));
-      EXPECT_DOUBLE_EQ(matrix.one_way_ms(i, j), model.one_way_ms(cities[i], cities[j]));
-      EXPECT_DOUBLE_EQ(matrix.rtt_ms(i, j), 2.0 * matrix.one_way_ms(i, j));
+      // Exact: each stored value is the model's, in both argument orders.
+      EXPECT_EQ(matrix.one_way_ms(i, j), model.one_way_ms(cities[i], cities[j]));
+      EXPECT_EQ(matrix.one_way_ms(i, j), model.one_way_ms(cities[j], cities[i]));
+      EXPECT_EQ(matrix.one_way_ms(i, j), matrix.one_way_ms(j, i));
     }
   }
 }

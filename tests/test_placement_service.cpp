@@ -10,11 +10,12 @@ namespace {
 struct Fixture {
   sim::EdgeCluster cluster;
   carbon::CarbonIntensityService carbon;
-  geo::LatencyMatrix latency;
+  geo::BandedLatencyMatrix latency;
 
-  Fixture() : cluster(sim::make_uniform_cluster(geo::florida_region(), 1, sim::DeviceType::kA2)) {
+  Fixture()
+      : cluster(sim::make_uniform_cluster(geo::florida_region(), 1, sim::DeviceType::kA2)),
+        latency(geo::LatencyModel{}, cluster.cities()) {
     carbon.add_region(geo::florida_region());
-    latency = geo::LatencyMatrix(geo::LatencyModel{}, cluster.cities());
   }
 
   PlacementInput input(carbon::HourIndex now = 12) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "obs/span.hpp"
 
 namespace carbonedge::core {
@@ -27,6 +30,23 @@ TEST(Simulation, MissingZoneTraceThrows) {
   carbon::CarbonIntensityService empty;
   auto cluster = sim::make_uniform_cluster(geo::florida_region(), 1, sim::DeviceType::kA2);
   EXPECT_THROW(EdgeSimulation(std::move(cluster), empty), std::invalid_argument);
+}
+
+TEST(Simulation, ZeroBandKeepsEveryPairAndInvalidBandsThrow) {
+  const auto region = geo::florida_region();
+  const auto service = make_service(region);
+  const auto cluster = sim::make_uniform_cluster(region, 1, sim::DeviceType::kA2);
+  // Exactly 0 is "no band": the unbounded table over every site pair.
+  const EdgeSimulation unbounded(cluster, service);
+  EXPECT_TRUE(std::isinf(unbounded.latency().band_one_way_ms()));
+  EXPECT_EQ(unbounded.latency().stored_entries(), cluster.size() * cluster.size());
+  // Anything else reaches the matrix, which rejects a negative or NaN band
+  // instead of silently running unbounded.
+  EXPECT_THROW(EdgeSimulation(cluster, service, geo::LatencyModel{}, -5.0),
+               std::invalid_argument);
+  EXPECT_THROW(EdgeSimulation(cluster, service, geo::LatencyModel{},
+                              std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
 }
 
 TEST(Simulation, RunProducesOneRecordPerEpoch) {

@@ -1,5 +1,6 @@
-// BandedLatencyMatrix vs the dense LatencyMatrix: bit-identical on the
-// shared support, +infinity outside the band, neighborhoods ascending.
+// BandedLatencyMatrix against the latency model: bit-identical on the
+// band's support, +infinity outside it, neighborhoods ascending, and an
+// unbounded band that keeps every pair.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,19 +22,21 @@ namespace {
 TEST(BandedLatency, MatchesDenseBitExactlyWithinTheBand) {
   const std::vector<City> cities = cdn_region(Continent::kNorthAmerica).resolve();
   const LatencyModel model;
-  const LatencyMatrix dense(model, cities);
   const double band_ms = 8.0;
   const BandedLatencyMatrix banded(model, cities, band_ms);
-  ASSERT_EQ(banded.size(), dense.size());
+  ASSERT_EQ(banded.size(), cities.size());
   EXPECT_EQ(banded.band_one_way_ms(), band_ms);
 
   std::size_t in_band = 0;
-  for (std::size_t i = 0; i < dense.size(); ++i) {
-    for (std::size_t j = 0; j < dense.size(); ++j) {
-      const double dense_ms = dense.one_way_ms(i, j);
-      if (dense_ms <= band_ms) {
-        // Exact equality: the band scores candidates with the same model.
-        EXPECT_EQ(banded.one_way_ms(i, j), dense_ms) << i << "," << j;
+  for (std::size_t i = 0; i < cities.size(); ++i) {
+    for (std::size_t j = 0; j < cities.size(); ++j) {
+      const double model_ms = model.one_way_ms(cities[i], cities[j]);
+      if (model_ms <= band_ms) {
+        // Exact equality, in both argument orders: the band scores
+        // candidates with the same model.
+        EXPECT_EQ(banded.one_way_ms(i, j), model_ms) << i << "," << j;
+        EXPECT_EQ(banded.one_way_ms(i, j), model.one_way_ms(cities[j], cities[i]))
+            << i << "," << j;
         ++in_band;
       } else {
         EXPECT_TRUE(std::isinf(banded.one_way_ms(i, j))) << i << "," << j;
@@ -42,7 +45,7 @@ TEST(BandedLatency, MatchesDenseBitExactlyWithinTheBand) {
   }
   EXPECT_EQ(banded.stored_entries(), in_band);
   // The band must actually be sparse on a continental geography.
-  EXPECT_LT(banded.stored_entries(), dense.size() * dense.size());
+  EXPECT_LT(banded.stored_entries(), cities.size() * cities.size());
 }
 
 TEST(BandedLatency, NeighborhoodsAreAscendingAndMirrorTheSupport) {
@@ -52,15 +55,19 @@ TEST(BandedLatency, NeighborhoodsAreAscendingAndMirrorTheSupport) {
   std::size_t total = 0;
   for (std::size_t i = 0; i < banded.size(); ++i) {
     const auto row = banded.neighbors(i);
+    const auto row_ms = banded.neighbor_ms(i);
+    ASSERT_EQ(row_ms.size(), row.size());
     total += row.size();
     for (std::size_t k = 0; k < row.size(); ++k) {
       if (k > 0) {
         EXPECT_LT(row[k - 1], row[k]);  // strictly ascending
       }
-      EXPECT_TRUE(std::isfinite(banded.one_way_ms(i, row[k])));
+      // The row's values are the lookups, position for position.
+      EXPECT_EQ(row_ms[k], banded.one_way_ms(i, row[k]));
+      EXPECT_TRUE(std::isfinite(row_ms[k]));
       // Symmetry: j in neighbors(i) <=> i in neighbors(j) (the model is
       // exactly symmetric, so band membership is too).
-      EXPECT_EQ(banded.one_way_ms(row[k], i), banded.one_way_ms(i, row[k]));
+      EXPECT_EQ(banded.one_way_ms(row[k], i), row_ms[k]);
     }
     // The diagonal is always in band (0 ms).
     EXPECT_EQ(banded.one_way_ms(i, i), 0.0);
@@ -68,19 +75,19 @@ TEST(BandedLatency, NeighborhoodsAreAscendingAndMirrorTheSupport) {
   EXPECT_EQ(total, banded.stored_entries());
 }
 
-TEST(BandedLatency, DenseProviderAdvertisesUnconstrainedNeighbors) {
+TEST(BandedLatency, UnboundedBandListsEverySiteAscendingInEveryRow) {
   const std::vector<City> cities = florida_region().resolve();
-  const LatencyMatrix dense(LatencyModel{}, cities);
-  const LatencyProvider& provider = dense;
-  // Every row lists every site, ascending: the dense provider constrains
-  // nothing, so neighbor-driven scans visit all sites in site order.
+  const BandedLatencyMatrix unbounded(LatencyModel{}, cities);
+  EXPECT_TRUE(std::isinf(unbounded.band_one_way_ms()));
+  EXPECT_EQ(unbounded.stored_entries(), cities.size() * cities.size());
+  // Every row lists every site, ascending: an unbounded band constrains
+  // nothing, so row-driven scans visit all sites in site order.
   std::vector<std::uint32_t> all_sites(cities.size());
   std::iota(all_sites.begin(), all_sites.end(), std::uint32_t{0});
-  for (std::size_t i = 0; i < provider.size(); ++i) {
-    const auto row = provider.neighbors(i);
+  for (std::size_t i = 0; i < unbounded.size(); ++i) {
+    const auto row = unbounded.neighbors(i);
     EXPECT_EQ(std::vector<std::uint32_t>(row.begin(), row.end()), all_sites);
   }
-  EXPECT_EQ(provider.rtt_ms(0, 1), 2.0 * provider.one_way_ms(0, 1));
 }
 
 TEST(BandedLatency, BandBelowBaseLatencyThrows) {
@@ -89,17 +96,22 @@ TEST(BandedLatency, BandBelowBaseLatencyThrows) {
   EXPECT_THROW(BandedLatencyMatrix(model, cities, model.params().base_ms),
                std::invalid_argument);
   EXPECT_THROW(BandedLatencyMatrix(model, cities, 0.0), std::invalid_argument);
+  EXPECT_THROW(BandedLatencyMatrix(model, cities, -5.0), std::invalid_argument);
+  // NaN compares false both ways; it must not build a matrix with no
+  // entries (not even the diagonal).
+  EXPECT_THROW(BandedLatencyMatrix(model, cities, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
 }
 
 TEST(BandedLatency, WideBandDegeneratesToTheDenseMatrix) {
   const std::vector<City> cities = central_eu_region().resolve();
   const LatencyModel model;
-  const LatencyMatrix dense(model, cities);
   const BandedLatencyMatrix banded(model, cities, 1e6);
   EXPECT_EQ(banded.stored_entries(), cities.size() * cities.size());
   for (std::size_t i = 0; i < cities.size(); ++i) {
     for (std::size_t j = 0; j < cities.size(); ++j) {
-      EXPECT_EQ(banded.one_way_ms(i, j), dense.one_way_ms(i, j));
+      EXPECT_EQ(banded.one_way_ms(i, j), model.one_way_ms(cities[i], cities[j]));
+      EXPECT_EQ(banded.one_way_ms(i, j), model.one_way_ms(cities[j], cities[i]));
     }
   }
 }

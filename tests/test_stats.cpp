@@ -4,8 +4,6 @@
 
 #include <vector>
 
-#include "util/random.hpp"
-
 namespace carbonedge::util {
 namespace {
 
@@ -51,21 +49,6 @@ TEST(EmpiricalCdf, EmptyIsSafe) {
   EXPECT_TRUE(cdf.empty());
   EXPECT_DOUBLE_EQ(cdf.at(1.0), 0.0);
   EXPECT_DOUBLE_EQ(cdf.quantile(0.5), 0.0);
-  EXPECT_TRUE(cdf.curve(10).empty());
-}
-
-TEST(EmpiricalCdf, CurveIsMonotone) {
-  Rng rng(5);
-  std::vector<double> sample;
-  for (int i = 0; i < 500; ++i) sample.push_back(rng.normal(10.0, 2.0));
-  EmpiricalCdf cdf(std::move(sample));
-  const auto curve = cdf.curve(50);
-  ASSERT_EQ(curve.size(), 50u);
-  for (std::size_t i = 1; i < curve.size(); ++i) {
-    EXPECT_GE(curve[i].second, curve[i - 1].second);
-    EXPECT_GE(curve[i].first, curve[i - 1].first);
-  }
-  EXPECT_DOUBLE_EQ(curve.back().second, 1.0);
 }
 
 }  // namespace
