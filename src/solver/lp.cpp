@@ -73,7 +73,18 @@ const char* to_string(LpStatus status) noexcept {
 
 namespace {
 
-/// Dense simplex tableau solver over the standardized problem.
+/// Simplex tableau over the standardized problem, stored flat and updated
+/// only where the pivot row is nonzero.
+///
+/// The sparse updates are bit-exact with a dense sweep over every entry:
+/// - A skipped update is `x - f * (+-0)`, which at most flips the sign of
+///   a zero x (all entries are finite, so f * 0 is a zero).
+/// - Every nonzero entry still gets `target[j] -= factor * prow[j]`,
+///   verbatim, so it carries the same bits.
+/// - No decision tells -0 from +0: `a <= tol`, `obj[j] < best_value`,
+///   `factor == 0.0`, the 1e-12 ratio tie-break, the stall test and
+///   `std::abs(x) > tol`. Dantzig pricing, the Bland fallback and every
+///   pivot are therefore the same, and so is every returned value.
 class SimplexTableau {
  public:
   SimplexTableau(const LinearProgram& lp, const LpOptions& options)
@@ -91,6 +102,13 @@ class SimplexTableau {
   [[nodiscard]] std::size_t choose_entering(bool bland) const;
   [[nodiscard]] std::size_t choose_leaving(std::size_t col) const;
 
+  [[nodiscard]] double* row(std::size_t r) noexcept { return tableau_.data() + r * stride_; }
+  [[nodiscard]] const double* row(std::size_t r) const noexcept {
+    return tableau_.data() + r * stride_;
+  }
+  [[nodiscard]] double* obj() noexcept { return row(rows_); }
+  [[nodiscard]] const double* obj() const noexcept { return row(rows_); }
+
   const LinearProgram& lp_;
   LpOptions options_;
 
@@ -98,14 +116,14 @@ class SimplexTableau {
   std::size_t num_total_ = 0;    // structural + slack + artificial
   std::size_t first_artificial_ = 0;
   std::size_t rows_ = 0;
-  // tableau_[r] has num_total_ + 1 entries (last = rhs); obj_ mirrors the
-  // reduced-cost row with obj_rhs_ = -objective value.
-  std::vector<std::vector<double>> tableau_;
-  std::vector<double> obj_;
-  double obj_rhs_ = 0.0;
+  // rows_ + 1 rows of stride_ = num_total_ + 1 entries (last = rhs),
+  // row-major. Row rows_ is the reduced-cost row; its rhs slot holds
+  // -objective value.
+  std::size_t stride_ = 0;
+  std::vector<double> tableau_;
+  std::vector<std::size_t> pivot_nonzeros_;  // columns where the pivot row is nonzero
   std::vector<std::size_t> basis_;      // basis_[r] = column basic in row r
   std::vector<double> struct_cost_;     // phase-2 costs over all columns
-  double shift_constant_ = 0.0;         // objective offset from bound shifting
   std::size_t entering_limit_ = 0;      // columns eligible to enter the basis
   std::size_t iterations_ = 0;
   static constexpr std::size_t kNoCol = static_cast<std::size_t>(-1);
@@ -115,86 +133,82 @@ void SimplexTableau::standardize() {
   const std::size_t n = lp_.num_variables();
   num_struct_ = n;
 
-  // Shift x = z + lb so structural z >= 0; finite upper bounds become rows.
-  shift_constant_ = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    shift_constant_ += lp_.objective_coeff(static_cast<int>(i)) * lp_.lower_bound(static_cast<int>(i));
-  }
-
-  struct Stdrow {
-    std::vector<double> coeffs;  // dense over structural vars
-    Sense sense;
+  // Shift x = z + lb so structural z >= 0; finite upper bounds become
+  // <= rows after the constraint rows. A row whose shifted rhs is negative
+  // is negated, which swaps <= and >=.
+  struct Shape {
     double rhs;
+    Sense sense;
+    double sign;  // -1 for a negated row
   };
-  std::vector<Stdrow> stdrows;
-  stdrows.reserve(lp_.num_constraints() + n);
-
-  for (const LinearProgram::Row& row : lp_.rows()) {
-    Stdrow sr{std::vector<double>(n, 0.0), row.sense, row.rhs};
-    for (const auto& [var, coeff] : row.terms) {
-      sr.coeffs[static_cast<std::size_t>(var)] += coeff;
-      sr.rhs -= coeff * lp_.lower_bound(var);
-    }
-    stdrows.push_back(std::move(sr));
-  }
+  std::vector<Shape> shapes;
+  shapes.reserve(lp_.num_constraints());
+  std::size_t num_upper = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const double ub = lp_.upper_bound(static_cast<int>(i));
-    if (std::isfinite(ub)) {
-      Stdrow sr{std::vector<double>(n, 0.0), Sense::kLessEqual,
-                ub - lp_.lower_bound(static_cast<int>(i))};
-      sr.coeffs[i] = 1.0;
-      stdrows.push_back(std::move(sr));
-    }
+    if (std::isfinite(lp_.upper_bound(static_cast<int>(i)))) ++num_upper;
   }
-
-  // Flip rows to make rhs non-negative.
-  for (Stdrow& sr : stdrows) {
-    if (sr.rhs < 0.0) {
-      for (double& c : sr.coeffs) c = -c;
-      sr.rhs = -sr.rhs;
-      if (sr.sense == Sense::kLessEqual) {
-        sr.sense = Sense::kGreaterEqual;
-      } else if (sr.sense == Sense::kGreaterEqual) {
-        sr.sense = Sense::kLessEqual;
+  std::size_t num_slack = num_upper;
+  std::size_t num_artificial = 0;
+  for (const LinearProgram::Row& lp_row : lp_.rows()) {
+    Shape shape{lp_row.rhs, lp_row.sense, 1.0};
+    for (const auto& [var, coeff] : lp_row.terms) shape.rhs -= coeff * lp_.lower_bound(var);
+    if (shape.rhs < 0.0) {
+      shape.rhs = -shape.rhs;
+      shape.sign = -1.0;
+      if (shape.sense == Sense::kLessEqual) {
+        shape.sense = Sense::kGreaterEqual;
+      } else if (shape.sense == Sense::kGreaterEqual) {
+        shape.sense = Sense::kLessEqual;
       }
     }
+    if (shape.sense != Sense::kEqual) ++num_slack;
+    if (shape.sense != Sense::kLessEqual) ++num_artificial;
+    shapes.push_back(shape);
   }
 
-  rows_ = stdrows.size();
-  std::size_t num_slack = 0;
-  std::size_t num_artificial = 0;
-  for (const Stdrow& sr : stdrows) {
-    if (sr.sense != Sense::kEqual) ++num_slack;
-    if (sr.sense != Sense::kLessEqual) ++num_artificial;
-  }
+  rows_ = shapes.size() + num_upper;
   first_artificial_ = num_struct_ + num_slack;
   num_total_ = first_artificial_ + num_artificial;
-
-  tableau_.assign(rows_, std::vector<double>(num_total_ + 1, 0.0));
+  stride_ = num_total_ + 1;
+  tableau_.assign((rows_ + 1) * stride_, 0.0);
+  pivot_nonzeros_.reserve(stride_);
   basis_.assign(rows_, kNoCol);
 
   std::size_t slack_col = num_struct_;
   std::size_t art_col = first_artificial_;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const Stdrow& sr = stdrows[r];
-    for (std::size_t i = 0; i < n; ++i) tableau_[r][i] = sr.coeffs[i];
-    tableau_[r][num_total_] = sr.rhs;
-    switch (sr.sense) {
+  for (std::size_t r = 0; r < shapes.size(); ++r) {
+    double* t = row(r);
+    const Shape& shape = shapes[r];
+    for (const auto& [var, coeff] : lp_.rows()[r].terms) {
+      t[static_cast<std::size_t>(var)] += shape.sign * coeff;
+    }
+    t[num_total_] = shape.rhs;
+    switch (shape.sense) {
       case Sense::kLessEqual:
-        tableau_[r][slack_col] = 1.0;
+        t[slack_col] = 1.0;
         basis_[r] = slack_col++;
         break;
       case Sense::kGreaterEqual:
-        tableau_[r][slack_col] = -1.0;
+        t[slack_col] = -1.0;
         ++slack_col;
-        tableau_[r][art_col] = 1.0;
+        t[art_col] = 1.0;
         basis_[r] = art_col++;
         break;
       case Sense::kEqual:
-        tableau_[r][art_col] = 1.0;
+        t[art_col] = 1.0;
         basis_[r] = art_col++;
         break;
     }
+  }
+  std::size_t r = shapes.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const double ub = lp_.upper_bound(static_cast<int>(i));
+    if (!std::isfinite(ub)) continue;
+    double* t = row(r);
+    t[i] = 1.0;
+    t[num_total_] = ub - lp_.lower_bound(static_cast<int>(i));
+    t[slack_col] = 1.0;
+    basis_[r++] = slack_col++;
   }
 
   struct_cost_.assign(num_total_, 0.0);
@@ -204,14 +218,16 @@ void SimplexTableau::standardize() {
 }
 
 void SimplexTableau::price_out_objective(const std::vector<double>& cost) {
-  obj_.assign(num_total_, 0.0);
-  obj_rhs_ = 0.0;
-  for (std::size_t j = 0; j < num_total_; ++j) obj_[j] = cost[j];
+  double* o = obj();
+  std::copy(cost.begin(), cost.end(), o);
+  o[num_total_] = 0.0;
   for (std::size_t r = 0; r < rows_; ++r) {
     const double cb = cost[basis_[r]];
     if (cb == 0.0) continue;
-    for (std::size_t j = 0; j < num_total_; ++j) obj_[j] -= cb * tableau_[r][j];
-    obj_rhs_ -= cb * tableau_[r][num_total_];
+    const double* t = row(r);
+    for (std::size_t j = 0; j < stride_; ++j) {
+      if (t[j] != 0.0) o[j] -= cb * t[j];
+    }
   }
 }
 
@@ -220,17 +236,18 @@ std::size_t SimplexTableau::choose_entering(bool bland) const {
   // out they must never re-enter, or the equality constraints they stand in
   // for silently relax.
   const double tol = options_.pivot_tolerance;
+  const double* o = obj();
   if (bland) {
     for (std::size_t j = 0; j < entering_limit_; ++j) {
-      if (obj_[j] < -tol) return j;
+      if (o[j] < -tol) return j;
     }
     return kNoCol;
   }
   std::size_t best = kNoCol;
   double best_value = -tol;
   for (std::size_t j = 0; j < entering_limit_; ++j) {
-    if (obj_[j] < best_value) {
-      best_value = obj_[j];
+    if (o[j] < best_value) {
+      best_value = o[j];
       best = j;
     }
   }
@@ -242,9 +259,10 @@ std::size_t SimplexTableau::choose_leaving(std::size_t col) const {
   std::size_t best_row = kNoCol;
   double best_ratio = kInfinity;
   for (std::size_t r = 0; r < rows_; ++r) {
-    const double a = tableau_[r][col];
+    const double* t = row(r);
+    const double a = t[col];
     if (a <= tol) continue;
-    const double ratio = tableau_[r][num_total_] / a;
+    const double ratio = t[num_total_] / a;
     // Bland tie-break on the basic column index for anti-cycling.
     if (ratio < best_ratio - 1e-12 ||
         (ratio < best_ratio + 1e-12 && best_row != kNoCol && basis_[r] < basis_[best_row])) {
@@ -255,27 +273,27 @@ std::size_t SimplexTableau::choose_leaving(std::size_t col) const {
   return best_row;
 }
 
-void SimplexTableau::pivot(std::size_t row, std::size_t col) {
-  std::vector<double>& prow = tableau_[row];
+void SimplexTableau::pivot(std::size_t pivot_row, std::size_t col) {
+  double* prow = row(pivot_row);
   const double inv = 1.0 / prow[col];
-  for (double& v : prow) v *= inv;
+  pivot_nonzeros_.clear();
+  for (std::size_t j = 0; j < stride_; ++j) {
+    if (prow[j] == 0.0) continue;
+    prow[j] *= inv;
+    pivot_nonzeros_.push_back(j);
+  }
   prow[col] = 1.0;  // exact
 
-  for (std::size_t r = 0; r < rows_; ++r) {
-    if (r == row) continue;
-    const double factor = tableau_[r][col];
+  // Every other row, the reduced-cost row included.
+  for (std::size_t r = 0; r <= rows_; ++r) {
+    if (r == pivot_row) continue;
+    double* target = row(r);
+    const double factor = target[col];
     if (factor == 0.0) continue;
-    std::vector<double>& target = tableau_[r];
-    for (std::size_t j = 0; j <= num_total_; ++j) target[j] -= factor * prow[j];
+    for (const std::size_t j : pivot_nonzeros_) target[j] -= factor * prow[j];
     target[col] = 0.0;
   }
-  const double ofactor = obj_[col];
-  if (ofactor != 0.0) {
-    for (std::size_t j = 0; j < num_total_; ++j) obj_[j] -= ofactor * prow[j];
-    obj_rhs_ -= ofactor * prow[num_total_];
-    obj_[col] = 0.0;
-  }
-  basis_[row] = col;
+  basis_[pivot_row] = col;
 }
 
 bool SimplexTableau::phase(bool phase_one) {
@@ -286,14 +304,14 @@ bool SimplexTableau::phase(bool phase_one) {
     const bool bland = stall > rows_ + num_total_;  // switch after long stall
     const std::size_t col = choose_entering(bland);
     if (col == kNoCol) return true;  // optimal for this phase
-    const std::size_t row = choose_leaving(col);
-    if (row == kNoCol) {
+    const std::size_t r = choose_leaving(col);
+    if (r == kNoCol) {
       if (phase_one) return true;  // phase-1 objective bounded below by 0
       return false;                // genuine unboundedness
     }
-    const double before = obj_rhs_;
-    pivot(row, col);
-    stall = std::abs(obj_rhs_ - before) < 1e-12 ? stall + 1 : 0;
+    const double before = obj()[num_total_];
+    pivot(r, col);
+    stall = std::abs(obj()[num_total_] - before) < 1e-12 ? stall + 1 : 0;
   }
 }
 
@@ -322,16 +340,17 @@ LpSolution SimplexTableau::solve() {
       solution.status = LpStatus::kIterationLimit;
       return solution;
     }
-    if (-obj_rhs_ > options_.feasibility_tolerance) {
+    if (-obj()[num_total_] > options_.feasibility_tolerance) {
       solution.status = LpStatus::kInfeasible;
       return solution;
     }
     // Drive any remaining artificial out of the basis where possible.
     for (std::size_t r = 0; r < rows_; ++r) {
       if (basis_[r] < first_artificial_) continue;
+      const double* t = row(r);
       std::size_t col = kNoCol;
       for (std::size_t j = 0; j < first_artificial_; ++j) {
-        if (std::abs(tableau_[r][j]) > options_.pivot_tolerance) {
+        if (std::abs(t[j]) > options_.pivot_tolerance) {
           col = j;
           break;
         }
@@ -353,7 +372,7 @@ LpSolution SimplexTableau::solve() {
   solution.status = LpStatus::kOptimal;
   solution.values.assign(lp_.num_variables(), 0.0);
   std::vector<double> z(num_total_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) z[basis_[r]] = tableau_[r][num_total_];
+  for (std::size_t r = 0; r < rows_; ++r) z[basis_[r]] = row(r)[num_total_];
   for (std::size_t i = 0; i < num_struct_; ++i) {
     solution.values[i] = z[i] + lp_.lower_bound(static_cast<int>(i));
   }

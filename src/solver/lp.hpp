@@ -1,9 +1,20 @@
-// Linear programming: model container and a dense two-phase primal simplex.
+// Linear programming: model container and a two-phase primal simplex.
 //
-// Substitutes for Google OR-Tools (unavailable offline). Sized for the
-// paper's placement instances: the testbed-scale MILPs relaxed here have a
-// few hundred rows/columns; CDN-scale instances take the greedy + local
-// search path instead (see assignment.hpp).
+// Substitutes for Google OR-Tools (unavailable offline). The callers are
+// the branch-and-bound nodes of the exact placement MILP (milp.hpp), whose
+// shards hold at most 64 apps x servers pairs. On the year-long cdn_us
+// serve replay a node LP standardizes to about 64 rows x 108 columns and
+// takes about 31 pivots; the pivot row has about 6 nonzeros, and about 5
+// other rows have a nonzero in the pivot column.
+//
+// The tableau is one flat row-major array (the reduced-cost row last),
+// filled straight from the constraint terms. A pivot scales only the
+// nonzeros of the pivot row, then updates only the rows with a nonzero in
+// the pivot column, and only at the pivot row's nonzero columns. This is
+// bit-exact with a dense sweep over every entry: a skipped update could at
+// most flip the sign of a zero, and no pricing, ratio or stall test tells
+// -0 from +0 (lp.cpp spells out the argument). It relies on products not
+// being fused into FMAs, which CMakeLists.txt pins with -ffp-contract=off.
 #pragma once
 
 #include <cstdint>
@@ -71,8 +82,8 @@ struct LpOptions {
   double feasibility_tolerance = 1e-7;
 };
 
-/// Solve with the dense two-phase primal simplex (Dantzig pricing with a
-/// Bland fallback for anti-cycling). Finite variable bounds are handled by
+/// Solve with the two-phase primal simplex (Dantzig pricing with a Bland
+/// fallback for anti-cycling). Finite variable bounds are handled by
 /// shifting lower bounds to zero and emitting upper-bound rows.
 [[nodiscard]] LpSolution solve_lp(const LinearProgram& lp, const LpOptions& options = {});
 
