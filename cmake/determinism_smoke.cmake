@@ -56,14 +56,18 @@ foreach(probe sweep single serve radius)
   message(STATUS "determinism gate: probe '${probe}' byte-identical across thread counts")
 endforeach()
 
-# Positional numbers the CLI must refuse rather than run with: a negative or
-# NaN radius, and epoch counts that are negative (std::stoul would wrap -1
-# to 4294967295) or past uint32 (a cast would wrap 4294967296 to 0). Each
-# must exit non-zero with a message before any work starts. Each item is a
-# comma-separated argument list.
+# Numbers the CLI must refuse rather than run with: a negative or NaN
+# radius, epoch counts that are negative (std::stoul would wrap -1 to
+# 4294967295) or past uint32 (a cast would wrap 4294967296 to 0), a policy
+# alpha with trailing characters, outside [0, 1] or NaN (NaN once died in
+# the solver), and a NaN --ema-reopt threshold (once ran as a trigger that
+# never fires). Each must exit non-zero with a message before any work
+# starts. Each item is a comma-separated argument list.
 foreach(bad "radius,-5" "radius,nan" "simulate,florida,carbonedge,-1"
             "simulate,florida,carbonedge,4294967296" "sweep,cdn_us,-1"
-            "sweep,florida,4294967296")
+            "sweep,florida,4294967296" "simulate,florida,alpha=0.5x,4"
+            "simulate,florida,alpha=7,4" "simulate,florida,alpha=nan,4"
+            "serve,florida,--replay,--epochs=8,--ema-reopt=load:nan:2000")
   string(REPLACE "," ";" bad_args "${bad}")
   execute_process(
     COMMAND ${CLI} ${bad_args}
@@ -75,7 +79,7 @@ foreach(bad "radius,-5" "radius,nan" "simulate,florida,carbonedge,-1"
                         "got exit ${status}:\n${bad_out}${bad_err}")
   endif()
 endforeach()
-message(STATUS "determinism gate: bad radius and epoch arguments rejected")
+message(STATUS "determinism gate: bad radius, epoch, alpha and threshold arguments rejected")
 
 # Compiled-catalog probes: build the checked-in sample dump into a scratch
 # store (no network — tests/data/sites_sample.tsv ships with the repo), then

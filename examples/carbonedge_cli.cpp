@@ -185,7 +185,12 @@ core::PolicyConfig policy_by_name(const std::string& name) {
   if (name == "intensity") return core::PolicyConfig::intensity_aware();
   if (name == "carbonedge") return core::PolicyConfig::carbon_edge();
   if (name.rfind("alpha=", 0) == 0) {
-    return core::PolicyConfig::multi_objective(std::stod(name.substr(6)));
+    // The comparison also refuses "nan".
+    const double alpha = parse_flag_double(name, 6);
+    if (!(alpha >= 0.0 && alpha <= 1.0)) {
+      throw std::invalid_argument("alpha must be in [0, 1]: " + name);
+    }
+    return core::PolicyConfig::multi_objective(alpha);
   }
   throw std::invalid_argument("unknown policy: " + name);
 }
@@ -339,8 +344,11 @@ void parse_ema_reopt(const std::string& arg, serve::EmaReoptConfig& ema) {
   const std::string signal = value.substr(0, first);
   serve::EmaTrigger trigger;
   trigger.enabled = true;
-  trigger.fire = std::stod(value.substr(first + 1, second - first - 1));
-  trigger.rearm = std::stod(value.substr(second + 1));
+  trigger.fire = parse_flag_double(value.substr(first + 1, second - first - 1), 0);
+  trigger.rearm = parse_flag_double(value.substr(second + 1), 0);
+  if (!(std::isfinite(trigger.fire) && std::isfinite(trigger.rearm))) {
+    throw std::invalid_argument("--ema-reopt thresholds must be finite: " + arg);
+  }
   if (signal == "intensity") {
     ema.intensity = trigger;
   } else if (signal == "response") {
