@@ -97,7 +97,7 @@ class SimplexTableau {
   // the shifted structural variables followed by slack/surplus/artificials.
   void standardize();
   bool phase(bool phase_one);
-  void pivot(std::size_t row, std::size_t col);
+  void pivot(std::size_t pivot_row, std::size_t col);
   void price_out_objective(const std::vector<double>& cost);
   [[nodiscard]] std::size_t choose_entering(bool bland) const;
   [[nodiscard]] std::size_t choose_leaving(std::size_t col) const;
