@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -301,6 +302,36 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const MilpOptio
 
 namespace {
 
+// Server -> pairs transpose of the CSR pair list, built by a counting sort:
+// column j lists j's pairs in ascending app order, each with its app.
+// Per-call scratch for the greedy and the local search; the problem itself
+// keeps only the pair list.
+class ColumnIndex {
+ public:
+  struct Entry {
+    std::size_t app;
+    std::size_t pair;
+  };
+
+  explicit ColumnIndex(const AssignmentProblem& problem)
+      : begin_(problem.num_servers() + 1, 0), entries_(problem.num_pairs()) {
+    for (std::size_t p = 0; p < problem.num_pairs(); ++p) ++begin_[problem.server(p) + 1];
+    for (std::size_t j = 0; j < problem.num_servers(); ++j) begin_[j + 1] += begin_[j];
+    std::vector<std::size_t> next(begin_.begin(), begin_.end() - 1);
+    for (std::size_t i = 0; i < problem.num_apps(); ++i) {
+      for (const std::size_t p : problem.row(i)) entries_[next[problem.server(p)]++] = {i, p};
+    }
+  }
+
+  [[nodiscard]] std::span<const Entry> column(std::size_t server) const noexcept {
+    return {entries_.data() + begin_[server], begin_[server + 1] - begin_[server]};
+  }
+
+ private:
+  std::vector<std::size_t> begin_;  // num_servers + 1 offsets into entries_
+  std::vector<Entry> entries_;
+};
+
 struct GreedyState {
   std::vector<double> remaining;       // server x resource
   std::vector<std::uint8_t> planned_on;
@@ -344,48 +375,85 @@ struct GreedyState {
 AssignmentSolution solve_greedy(const AssignmentProblem& problem) {
   const std::size_t apps = problem.num_apps();
   GreedyState state(problem);
+  const ColumnIndex columns(problem);
   std::vector<std::size_t> assignment(apps, kUnassigned);
 
-  for (std::size_t round = 0; round < apps; ++round) {
+  // Per app, the two cheapest effective costs among its pairs that still
+  // fit, and the pair of the cheapest (the first in row order on a tie).
+  struct Options {
+    double best = kInfinity;
+    double second = kInfinity;
+    std::size_t best_pair = kNoPair;
+  };
+  std::vector<Options> options(apps);
+  const auto rescan = [&](std::size_t i) {
+    Options o;
+    for (const std::size_t p : problem.row(i)) {
+      if (!state.fits(problem, p)) continue;
+      const double c = state.effective_cost(problem, p);
+      if (c < o.best) {
+        o.second = o.best;
+        o.best = c;
+        o.best_pair = p;
+      } else if (c < o.second) {
+        o.second = c;
+      }
+    }
+    options[i] = o;
+  };
+  for (std::size_t i = 0; i < apps; ++i) rescan(i);
+
+  // Unplaced apps in ascending order. An app none of whose pairs fits is
+  // dropped for good: capacity only shrinks. Greedy then fails over to a
+  // partial answer, which evaluate() marks infeasible.
+  std::vector<std::size_t> open(apps);
+  std::iota(open.begin(), open.end(), std::size_t{0});
+  for (;;) {
     // Pick the unplaced app with the largest regret (gap between its best
     // and second-best feasible option); ties favor the costlier best option.
     std::size_t pick = kUnassigned;
+    std::size_t pick_slot = 0;
     std::size_t pick_pair = kNoPair;
     double pick_regret = -1.0;
     double pick_best_cost = -kInfinity;
-    for (std::size_t i = 0; i < apps; ++i) {
-      if (assignment[i] != kUnassigned) continue;
-      double best = kInfinity;
-      double second = kInfinity;
-      std::size_t best_pair = kNoPair;
-      for (const std::size_t p : problem.row(i)) {
-        if (!state.fits(problem, p)) continue;
-        const double c = state.effective_cost(problem, p);
-        if (c < best) {
-          second = best;
-          best = c;
-          best_pair = p;
-        } else if (c < second) {
-          second = c;
-        }
+    std::size_t kept = 0;
+    for (const std::size_t i : open) {
+      const Options& o = options[i];
+      if (o.best_pair == kNoPair) continue;
+      const double regret = (o.second == kInfinity) ? kInfinity : o.second - o.best;
+      if (regret > pick_regret || (regret == pick_regret && o.best > pick_best_cost)) {
+        pick_regret = regret;
+        pick_best_cost = o.best;
+        pick = i;
+        pick_slot = kept;
+        pick_pair = o.best_pair;
       }
-      if (best_pair == kNoPair) {
-        // This app can no longer be placed; greedy fails over to a partial
-        // answer which evaluate() marks infeasible.
+      open[kept++] = i;
+    }
+    open.resize(kept);
+    if (pick == kUnassigned) break;  // nothing placeable remains
+    open.erase(open.begin() + static_cast<std::ptrdiff_t>(pick_slot));
+
+    const std::size_t j = problem.server(pick_pair);
+    const bool was_on = state.planned_on[j] != 0;
+    assignment[pick] = j;
+    state.commit(problem, pick_pair);
+    // A pair's fit and effective cost depend on its own server only, so
+    // only apps in j's column can see their options change.
+    for (const ColumnIndex::Entry& entry : columns.column(j)) {
+      const Options& o = options[entry.app];
+      if (assignment[entry.app] != kUnassigned || o.best_pair == kNoPair) continue;
+      if (!was_on) {
+        // Powering j on lowered the cost of every pair on it.
+        rescan(entry.app);
         continue;
       }
-      const double regret = (second == kInfinity) ? kInfinity : second - best;
-      if (regret > pick_regret ||
-          (regret == pick_regret && best > pick_best_cost)) {
-        pick_regret = regret;
-        pick_best_cost = best;
-        pick = i;
-        pick_pair = best_pair;
-      }
+      // j's costs are unchanged and its capacity only shrank: the options
+      // change only if a pair stopped fitting that was the best or could
+      // have been the second.
+      if (state.fits(problem, entry.pair)) continue;
+      if (entry.pair == o.best_pair || problem.cost(entry.pair) <= o.second) rescan(entry.app);
     }
-    if (pick == kUnassigned) break;  // nothing placeable remains
-    assignment[pick] = problem.server(pick_pair);
-    state.commit(problem, pick_pair);
   }
   AssignmentSolution solution = evaluate(problem, assignment);
   solution.stats.components = 1;
@@ -434,7 +502,25 @@ std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSol
     return true;
   };
 
+  // Swap targets: a's pairs spread over a server-indexed scratch, and the
+  // pairs on a's current server spread over an app-indexed one, filled
+  // from that server's column and re-filled only when the server changes.
+  const ColumnIndex columns(problem);
   std::vector<std::size_t> pair_of_a(servers, kNoPair);
+  std::vector<std::size_t> pair_on_sa(apps, kNoPair);
+  std::size_t filled_server = kUnassigned;
+  const auto fill_pairs_on = [&](std::size_t server) {
+    if (server == filled_server) return;
+    if (filled_server != kUnassigned) {
+      for (const ColumnIndex::Entry& entry : columns.column(filled_server)) {
+        pair_on_sa[entry.app] = kNoPair;
+      }
+    }
+    for (const ColumnIndex::Entry& entry : columns.column(server)) {
+      pair_on_sa[entry.app] = entry.pair;
+    }
+    filled_server = server;
+  };
   std::size_t improvements = 0;
   for (std::size_t round = 0; round < max_rounds; ++round) {
     bool improved = false;
@@ -468,8 +554,7 @@ std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSol
     }
 
     // Pairwise swaps. App a's pair is re-read for every b — after an
-    // applied swap, later candidates must see its new server. a's row is
-    // spread over a server-indexed scratch so its targets are one lookup.
+    // applied swap, later candidates must see its new server.
     for (std::size_t a = 0; a < apps; ++a) {
       if (current[a] == kNoPair) continue;
       for (const std::size_t p : problem.row(a)) pair_of_a[problem.server(p)] = p;
@@ -481,7 +566,8 @@ std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSol
         const std::size_t sb = problem.server(pb);
         const std::size_t a_to = pair_of_a[sb];
         if (sb == sa || a_to == kNoPair) continue;
-        const std::size_t b_to = problem.find(b, sa);
+        fill_pairs_on(sa);
+        const std::size_t b_to = pair_on_sa[b];
         if (b_to == kNoPair) continue;
         if (!fits_after(a_to, pb) || !fits_after(b_to, pa)) continue;
         const double delta =

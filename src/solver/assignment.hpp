@@ -39,6 +39,8 @@ inline constexpr std::size_t kUnassigned = static_cast<std::size_t>(-1);
 /// Pair index returned by AssignmentProblem::find for a pair not in the list.
 inline constexpr std::size_t kNoPair = static_cast<std::size_t>(-1);
 
+struct Component;  // solver/decompose.hpp
+
 class AssignmentProblem {
  public:
   AssignmentProblem(std::size_t num_apps, std::size_t num_servers, std::size_t num_resources = 1);
@@ -89,6 +91,11 @@ class AssignmentProblem {
   }
 
  private:
+  // Copies a component's already-validated rows straight into the
+  // sub-problem's arrays, without add_pair's per-pair checks.
+  friend AssignmentProblem extract_component(const AssignmentProblem& problem,
+                                             const Component& component);
+
   [[nodiscard]] std::size_t row_start(std::size_t app) const noexcept {
     return app < row_begin_.size() ? row_begin_[app] : num_pairs();
   }

@@ -75,21 +75,39 @@ AssignmentProblem extract_component(const AssignmentProblem& problem,
                                     const Component& component) {
   const std::size_t resources = problem.num_resources();
   AssignmentProblem sub(component.apps.size(), component.servers.size(), resources);
+  // Dense parent server -> local column map; only component servers are
+  // written, and only they are read.
+  std::vector<std::size_t> local(problem.num_servers());
   for (std::size_t jj = 0; jj < component.servers.size(); ++jj) {
     const std::size_t j = component.servers[jj];
+    local[j] = jj;
     for (std::size_t k = 0; k < resources; ++k) sub.set_capacity(jj, k, problem.capacity(j, k));
     sub.set_activation_cost(jj, problem.activation_cost(j));
     sub.set_initially_on(jj, problem.initially_on(j));
   }
-  // Every pair of a component app lands on a component server; the sorted
-  // server list maps it to its local column, preserving ascending order.
+  // Every pair of a component app lands on a component server, and the
+  // local numbering keeps the servers' order, so each parent row is
+  // already a valid, ascending sub-problem row: copy it, renumbering only
+  // its servers. A row's costs and demands are contiguous in the parent.
+  std::size_t pairs = 0;
+  for (const std::size_t i : component.apps) pairs += problem.row(i).size();
+  sub.pair_server_.reserve(pairs);
+  sub.pair_cost_.reserve(pairs);
+  sub.pair_demand_.reserve(pairs * resources);
   for (std::size_t ii = 0; ii < component.apps.size(); ++ii) {
-    for (const std::size_t p : problem.row(component.apps[ii])) {
-      const auto local = std::lower_bound(component.servers.begin(), component.servers.end(),
-                                          problem.server(p));
-      sub.add_pair(ii, static_cast<std::size_t>(local - component.servers.begin()),
-                   problem.cost(p), problem.demands(p));
-    }
+    const auto row = problem.row(component.apps[ii]);
+    if (row.empty()) continue;
+    // Rows up to ii start here; later empty rows stay implicit, as add_pair
+    // leaves them.
+    sub.row_begin_.resize(ii + 1, sub.num_pairs());
+    const auto first = static_cast<std::ptrdiff_t>(row.front());
+    const auto last = static_cast<std::ptrdiff_t>(row.back() + 1);
+    const auto width = static_cast<std::ptrdiff_t>(resources);
+    for (const std::size_t p : row) sub.pair_server_.push_back(local[problem.server(p)]);
+    sub.pair_cost_.insert(sub.pair_cost_.end(), problem.pair_cost_.begin() + first,
+                          problem.pair_cost_.begin() + last);
+    sub.pair_demand_.insert(sub.pair_demand_.end(), problem.pair_demand_.begin() + first * width,
+                            problem.pair_demand_.begin() + last * width);
   }
   return sub;
 }
