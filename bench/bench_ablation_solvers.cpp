@@ -12,7 +12,6 @@
 
 #include "solver/assignment.hpp"
 #include "solver/lagrangian.hpp"
-#include "solver/milp.hpp"
 #include "util/random.hpp"
 #include "util/table.hpp"
 
@@ -200,7 +199,7 @@ int main() {
       if (mono.cost() < 0.0) continue;  // skip infeasible draws
       const Timed sharded = timed([&] { return solve_auto(p); });
       if (sharded.cost() < 0.0) continue;  // never mix -1 sentinels into a mean
-      if (mono.solution.stats.milp_nodes >= MilpOptions{}.max_nodes) ++mono_capped;
+      if (mono.solution.stats.milp_limit_hits > 0) ++mono_capped;
       mono_cost += mono.cost();
       shard_cost += sharded.cost();
       mono_ms += mono.ms;

@@ -26,6 +26,7 @@ struct SolverMetrics {
   obs::Counter& heuristic_shards;
   obs::Counter& unplaceable_apps;
   obs::Counter& milp_nodes;
+  obs::Counter& milp_limit_hits;
   obs::Histogram& problem_apps;
 };
 
@@ -44,6 +45,9 @@ SolverMetrics& solver_metrics() {
       registry.counter("solver.unplaceable_apps", "apps with no feasible server at all",
                        obs::View::kDeterministic),
       registry.counter("solver.milp_nodes", "B&B nodes explored across exact shards",
+                       obs::View::kDeterministic),
+      registry.counter("solver.milp_limit_hits",
+                       "B&B searches stopped at the node budget (answer not proven)",
                        obs::View::kDeterministic),
       registry.histogram("solver.problem_apps", "apps per solved assignment problem",
                          obs::View::kDeterministic,
@@ -269,6 +273,7 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const MilpOptio
       greedy.stats.components = 1;
       greedy.stats.heuristic_shards = 1;
       greedy.stats.milp_nodes = milp.nodes_explored;
+      greedy.stats.milp_limit_hits = milp.limit_hit ? 1 : 0;
       return greedy;
     }
     AssignmentSolution infeasible;
@@ -277,6 +282,7 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const MilpOptio
     infeasible.stats.components = 1;
     infeasible.stats.exact_shards = 1;
     infeasible.stats.milp_nodes = milp.nodes_explored;
+    infeasible.stats.milp_limit_hits = milp.limit_hit ? 1 : 0;
     return infeasible;
   }
 
@@ -293,6 +299,7 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const MilpOptio
   solution.stats.components = 1;
   solution.stats.exact_shards = 1;
   solution.stats.milp_nodes = milp.nodes_explored;
+  solution.stats.milp_limit_hits = milp.limit_hit ? 1 : 0;
   return solution;
 }
 
@@ -466,6 +473,9 @@ std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSol
   const std::size_t apps = problem.num_apps();
   const std::size_t servers = problem.num_servers();
   const std::size_t resources = problem.num_resources();
+  // A hand-built assignment may be short: its missing apps are unassigned,
+  // as evaluate() reads them.
+  solution.assignment.resize(apps, kUnassigned);
 
   // Each app's current pair: kNoPair when the app is unassigned or sits on a
   // server it has no pair with (such an app stays put; evaluate() below
@@ -608,12 +618,16 @@ constexpr std::size_t kLocalSearchRounds = 20;
 // kExactSizeLimit, else — or when the MILP finds no feasible answer —
 // greedy + local search.
 AssignmentSolution solve_connected(const AssignmentProblem& problem) {
+  std::size_t limit_hits = 0;
   if (problem.num_apps() * problem.num_servers() <= kExactSizeLimit) {
     AssignmentSolution exact = solve_exact(problem);
     if (exact.feasible) return exact;
+    // A search that ran out of nodes before any incumbent is still counted.
+    limit_hits = exact.stats.milp_limit_hits;
   }
   AssignmentSolution solution = solve_greedy(problem);
   improve_local_search(problem, solution, kLocalSearchRounds);
+  solution.stats.milp_limit_hits = limit_hits;
   return solution;
 }
 
@@ -647,6 +661,7 @@ AssignmentSolution solve_decomposed(const AssignmentProblem& problem) {
     stats.heuristic_shards += sub.stats.heuristic_shards;
     stats.unplaceable_apps += sub.stats.unplaceable_apps;
     stats.milp_nodes += sub.stats.milp_nodes;
+    stats.milp_limit_hits += sub.stats.milp_limit_hits;
   }
 
   // Components are server-disjoint, so re-evaluating the stitched assignment
@@ -669,6 +684,7 @@ AssignmentSolution solve_auto(const AssignmentProblem& problem) {
   metrics.heuristic_shards.add(solution.stats.heuristic_shards);
   metrics.unplaceable_apps.add(solution.stats.unplaceable_apps);
   metrics.milp_nodes.add(solution.stats.milp_nodes);
+  metrics.milp_limit_hits.add(solution.stats.milp_limit_hits);
   metrics.problem_apps.observe(static_cast<double>(problem.num_apps()));
   return solution;
 }

@@ -123,6 +123,7 @@ struct SolveStats {
   std::size_t heuristic_shards = 0; // components solved by greedy + local search
   std::size_t unplaceable_apps = 0; // apps with no feasible server at all
   std::size_t milp_nodes = 0;       // total B&B nodes across exact shards
+  std::size_t milp_limit_hits = 0;  // B&B searches stopped at max_nodes, so unproven
 };
 
 struct AssignmentSolution {
@@ -150,6 +151,8 @@ struct AssignmentSolution {
 [[nodiscard]] AssignmentSolution solve_greedy(const AssignmentProblem& problem);
 
 /// Relocate/swap improvement; returns the number of improving moves applied.
+/// An assignment shorter than num_apps() is padded with kUnassigned, as
+/// evaluate() reads it.
 std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSolution& solution,
                                  std::size_t max_rounds = 20);
 

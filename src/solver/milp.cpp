@@ -54,11 +54,10 @@ MilpSolution solve_milp(const LinearProgram& lp, const std::vector<int>& integer
   LinearProgram working = lp;
   std::vector<Node> stack;
   stack.push_back(Node{});
-  bool limit_hit = false;
 
   while (!stack.empty()) {
     if (result.nodes_explored >= options.max_nodes) {
-      limit_hit = true;
+      result.limit_hit = true;
       break;
     }
     const Node node = std::move(stack.back());
@@ -147,7 +146,7 @@ MilpSolution solve_milp(const LinearProgram& lp, const std::vector<int>& integer
     result.status = MilpStatus::kInfeasible;
     return result;
   }
-  result.status = limit_hit ? MilpStatus::kFeasible : MilpStatus::kOptimal;
+  result.status = result.limit_hit ? MilpStatus::kFeasible : MilpStatus::kOptimal;
   result.objective = incumbent;
   result.values = std::move(incumbent_values);
   return result;

@@ -17,9 +17,10 @@ namespace carbonedge::solver {
 
 struct MilpOptions {
   LpOptions lp;
-  /// Node budget: each node solves a dense-simplex LP, so this bounds the
-  /// worst-case latency of an exact solve; past it the warm-start incumbent
-  /// is returned (status kFeasible).
+  /// Node budget: each node solves one LP relaxation from scratch, so this
+  /// bounds the worst-case latency of an exact solve; past it the best
+  /// incumbent is returned (status kFeasible), or kInfeasible with
+  /// limit_hit set when there is none.
   std::size_t max_nodes = 5'000;
   double integrality_tolerance = 1e-6;
   /// Relative optimality gap at which search stops (0 = prove optimality).
@@ -40,6 +41,10 @@ struct MilpSolution {
   double objective = 0.0;
   std::vector<double> values;
   std::size_t nodes_explored = 0;
+  /// The search stopped at max_nodes with nodes still open: a kFeasible
+  /// answer is not proven optimal, and a kInfeasible one is not proven
+  /// infeasible.
+  bool limit_hit = false;
 };
 
 /// Minimize the LP's objective with the listed variables restricted to

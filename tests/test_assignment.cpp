@@ -5,6 +5,7 @@
 #include <array>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "util/random.hpp"
 
@@ -238,6 +239,57 @@ TEST(LocalSearch, FixesGreedyMisstep) {
   EXPECT_TRUE(validate(p, sol));
 }
 
+// Regression: a hand-built solution with a short assignment used to be read
+// and written past its end. Missing apps are unassigned, as in evaluate().
+TEST(LocalSearch, PadsShortAssignment) {
+  const AssignmentProblem p = simple_problem(3, 2);
+  AssignmentSolution empty;
+  EXPECT_EQ(improve_local_search(p, empty), 0u);
+  ASSERT_EQ(empty.assignment.size(), 3u);
+  for (const std::size_t j : empty.assignment) EXPECT_EQ(j, kUnassigned);
+  EXPECT_EQ(empty.unassigned_count, 3u);
+  EXPECT_FALSE(empty.feasible);
+
+  AssignmentSolution partial;
+  partial.assignment = {1};  // app 0 on its costlier server
+  EXPECT_EQ(improve_local_search(p, partial), 1u);
+  EXPECT_EQ(partial.assignment, (std::vector<std::size_t>{0, kUnassigned, kUnassigned}));
+  EXPECT_DOUBLE_EQ(partial.total_cost, 0.0);
+}
+
+// Two apps that both prefer server 0, which holds one and a half of them:
+// the root relaxation splits app 0, so B&B has to branch.
+AssignmentProblem fractional_root_problem() {
+  AssignmentProblem p(2, 2, 1);
+  p.set_capacity(0, 0, 1.5);
+  p.set_capacity(1, 0, 1.5);
+  p.add_pair(0, 0, 1.0, {1.0});
+  p.add_pair(0, 1, 2.0, {1.0});
+  p.add_pair(1, 0, 1.0, {1.0});
+  p.add_pair(1, 1, 3.0, {1.0});
+  return p;
+}
+
+TEST(SolveExact, CountsNodeLimitHits) {
+  const AssignmentProblem p = fractional_root_problem();
+  MilpOptions options;
+  for (const std::size_t budget : {std::size_t{0}, std::size_t{1}}) {
+    options.max_nodes = budget;
+    const AssignmentSolution capped = solve_exact(p, options);
+    // The greedy warm start is the incumbent, and here also optimal.
+    ASSERT_TRUE(capped.feasible) << "max_nodes " << budget;
+    EXPECT_DOUBLE_EQ(capped.total_cost, 3.0);
+    EXPECT_EQ(capped.stats.exact_shards, 1u);
+    EXPECT_EQ(capped.stats.milp_nodes, budget);
+    EXPECT_EQ(capped.stats.milp_limit_hits, 1u) << "max_nodes " << budget;
+  }
+  const AssignmentSolution proven = solve_exact(p);
+  EXPECT_DOUBLE_EQ(proven.total_cost, 3.0);
+  EXPECT_GT(proven.stats.milp_nodes, 1u);
+  EXPECT_EQ(proven.stats.milp_limit_hits, 0u);
+  EXPECT_EQ(solve_auto(p).stats.milp_limit_hits, 0u);
+}
+
 // Regression (fallback bug): when B&B comes up with no incumbent at all
 // (node budget exhausted before the first integer point, or a numerically
 // stranded warm start — simulated here by rejecting every warm value via a
@@ -256,6 +308,7 @@ TEST(SolveExact, ReturnsGreedyIncumbentWhenSearchComesUpEmpty) {
   // The answer is the heuristic incumbent, not a proven optimum.
   EXPECT_EQ(sol.stats.heuristic_shards, 1u);
   EXPECT_EQ(sol.stats.exact_shards, 0u);
+  EXPECT_EQ(sol.stats.milp_limit_hits, 1u);
 }
 
 // Property suite: random multi-resource instances — exact is never worse

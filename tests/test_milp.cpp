@@ -85,6 +85,53 @@ TEST(Milp, NodeLimitReturnsIncumbent) {
   const MilpSolution sol =
       solve_milp(lp, vars, options, std::vector<double>(vars.size(), 0.0));
   EXPECT_EQ(sol.status, MilpStatus::kFeasible);
+  EXPECT_TRUE(sol.limit_hit);
+}
+
+// The knapsack of SolvesBinaryKnapsack, whose root relaxation is fractional.
+LinearProgram fractional_knapsack() {
+  LinearProgram lp;
+  const int a = lp.add_variable(-10.0, 0.0, 1.0);
+  const int b = lp.add_variable(-13.0, 0.0, 1.0);
+  const int c = lp.add_variable(-7.0, 0.0, 1.0);
+  lp.add_constraint({{a, 3.0}, {b, 4.0}, {c, 2.0}}, Sense::kLessEqual, 6.0);
+  return lp;
+}
+
+// A search cut off before its first incumbent reports kInfeasible like a
+// proven-infeasible MILP; limit_hit tells the two apart.
+TEST(Milp, NodeLimitWithoutIncumbentIsFlagged) {
+  MilpOptions options;
+  for (const std::size_t budget : {std::size_t{0}, std::size_t{1}}) {
+    options.max_nodes = budget;
+    const MilpSolution sol = solve_milp(fractional_knapsack(), {0, 1, 2}, options);
+    EXPECT_EQ(sol.status, MilpStatus::kInfeasible) << "max_nodes " << budget;
+    EXPECT_TRUE(sol.limit_hit) << "max_nodes " << budget;
+    EXPECT_EQ(sol.nodes_explored, budget);
+  }
+}
+
+TEST(Milp, FinishedSearchesHitNoLimit) {
+  EXPECT_FALSE(solve_milp(fractional_knapsack(), {0, 1, 2}).limit_hit);
+
+  LinearProgram infeasible;
+  const int x = infeasible.add_variable(1.0, 0.0, 1.0);
+  infeasible.add_constraint({{x, 1.0}}, Sense::kGreaterEqual, 0.4);
+  infeasible.add_constraint({{x, 1.0}}, Sense::kLessEqual, 0.6);
+  const MilpSolution proven = solve_milp(infeasible, {x});
+  EXPECT_EQ(proven.status, MilpStatus::kInfeasible);
+  EXPECT_FALSE(proven.limit_hit);
+
+  // An integral root closes the search on the budget's last node: no node
+  // is left open, so the answer is proven.
+  LinearProgram integral;
+  const int y = integral.add_variable(1.0, 0.0, 5.0);
+  integral.add_constraint({{y, 1.0}}, Sense::kGreaterEqual, 3.0);
+  MilpOptions one_node;
+  one_node.max_nodes = 1;
+  const MilpSolution closed = solve_milp(integral, {y}, one_node);
+  EXPECT_EQ(closed.status, MilpStatus::kOptimal);
+  EXPECT_FALSE(closed.limit_hit);
 }
 
 TEST(Milp, MixedContinuousAndInteger) {
