@@ -201,3 +201,57 @@ if(NOT det_1 STREQUAL det_4)
                       "against ${OUT_DIR}/metrics-det-t4.json")
 endif()
 message(STATUS "determinism gate: deterministic metrics view byte-identical across thread counts")
+
+# Commands no probe above reaches, each run once and checked for a clean
+# exit and its expected output: the Section 3 region summary, a trace export
+# (a header plus one row per zone-hour: 5 Florida zones x 8760 hours), a
+# Prometheus metrics snapshot, and a store gc on the catalog store that
+# removes a planted corrupt entry and then evicts the intact ones down to
+# one byte (last, since it empties that store).
+execute_process(
+  COMMAND ${CLI} analyze florida
+  OUTPUT_VARIABLE analyze_out
+  RESULT_VARIABLE status)
+if(NOT status EQUAL 0 OR NOT analyze_out MATCHES "yearly spread [0-9.]+x")
+  message(FATAL_ERROR "analyze florida failed (exit ${status}):\n${analyze_out}")
+endif()
+
+set(TRACES_CSV ${OUT_DIR}/florida-traces.csv)
+file(REMOVE ${TRACES_CSV})
+execute_process(
+  COMMAND ${CLI} export-traces florida ${TRACES_CSV}
+  OUTPUT_VARIABLE export_out
+  RESULT_VARIABLE status)
+if(NOT status EQUAL 0 OR NOT EXISTS ${TRACES_CSV})
+  message(FATAL_ERROR "export-traces florida failed (exit ${status}):\n${export_out}")
+endif()
+file(STRINGS ${TRACES_CSV} trace_lines)
+list(LENGTH trace_lines trace_line_count)
+if(NOT trace_line_count EQUAL 43801)
+  message(FATAL_ERROR "export-traces florida wrote ${trace_line_count} lines, expected 43801 "
+                      "(a header plus 5 zones x 8760 hours)")
+endif()
+
+set(ZONES_PROM ${OUT_DIR}/zones-metrics.prom)
+file(REMOVE ${ZONES_PROM})
+execute_process(
+  COMMAND ${CLI} zones --metrics-prom=${ZONES_PROM}
+  OUTPUT_QUIET
+  RESULT_VARIABLE status)
+if(EXISTS ${ZONES_PROM})
+  file(READ ${ZONES_PROM} zones_prom)
+endif()
+if(NOT status EQUAL 0 OR NOT zones_prom MATCHES "# TYPE ")
+  message(FATAL_ERROR "zones --metrics-prom wrote no Prometheus snapshot (exit ${status})")
+endif()
+
+file(WRITE ${CATALOG_STORE}/catalogs/planted-corrupt.ceaf "not an artifact")
+execute_process(
+  COMMAND ${CLI} store --dir ${CATALOG_STORE} gc --max-bytes=1
+  OUTPUT_VARIABLE gc_out
+  RESULT_VARIABLE status)
+if(NOT status EQUAL 0 OR NOT gc_out MATCHES "removed 1 files" OR
+   NOT gc_out MATCHES "evicted [1-9][0-9]* entries")
+  message(FATAL_ERROR "store gc on the catalog store failed (exit ${status}):\n${gc_out}")
+endif()
+message(STATUS "determinism gate: analyze, export-traces, --metrics-prom and store gc ran clean")
