@@ -205,9 +205,10 @@ message(STATUS "determinism gate: deterministic metrics view byte-identical acro
 # Commands no probe above reaches, each run once and checked for a clean
 # exit and its expected output: the Section 3 region summary, a trace export
 # (a header plus one row per zone-hour: 5 Florida zones x 8760 hours), a
-# Prometheus metrics snapshot, and a store gc on the catalog store that
-# removes a planted corrupt entry and then evicts the intact ones down to
-# one byte (last, since it empties that store).
+# Prometheus metrics snapshot, and a store gc that removes a planted
+# corrupt entry and then evicts the intact ones down to one byte. The gc
+# runs on a fresh store: gc also reaps lock files older than ten minutes,
+# which a reused store would accumulate between runs.
 execute_process(
   COMMAND ${CLI} analyze florida
   OUTPUT_VARIABLE analyze_out
@@ -245,13 +246,22 @@ if(NOT status EQUAL 0 OR NOT zones_prom MATCHES "# TYPE ")
   message(FATAL_ERROR "zones --metrics-prom wrote no Prometheus snapshot (exit ${status})")
 endif()
 
-file(WRITE ${CATALOG_STORE}/catalogs/planted-corrupt.ceaf "not an artifact")
+set(GC_STORE ${OUT_DIR}/gc-store)
+file(REMOVE_RECURSE ${GC_STORE})
 execute_process(
-  COMMAND ${CLI} store --dir ${CATALOG_STORE} gc --max-bytes=1
+  COMMAND ${CLI} catalog --dir ${GC_STORE} build ${CATALOG_TSV}
+  OUTPUT_QUIET
+  RESULT_VARIABLE status)
+if(NOT status EQUAL 0)
+  message(FATAL_ERROR "catalog build into the gc probe store failed (exit ${status})")
+endif()
+file(WRITE ${GC_STORE}/catalogs/planted-corrupt.ceaf "not an artifact")
+execute_process(
+  COMMAND ${CLI} store --dir ${GC_STORE} gc --max-bytes=1
   OUTPUT_VARIABLE gc_out
   RESULT_VARIABLE status)
 if(NOT status EQUAL 0 OR NOT gc_out MATCHES "removed 1 files" OR
    NOT gc_out MATCHES "evicted [1-9][0-9]* entries")
-  message(FATAL_ERROR "store gc on the catalog store failed (exit ${status}):\n${gc_out}")
+  message(FATAL_ERROR "store gc on a fresh store failed (exit ${status}):\n${gc_out}")
 endif()
 message(STATUS "determinism gate: analyze, export-traces, --metrics-prom and store gc ran clean")
