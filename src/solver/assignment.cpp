@@ -66,6 +66,50 @@ obs::Phase& milp_phase() {
   return phase;
 }
 
+// evaluate() given each app's pair as well: kNoPair for an app that is
+// unassigned or sits on a server it has no pair with. The heuristics know
+// their pairs, so only evaluate() itself looks them up.
+AssignmentSolution evaluate_pairs(const AssignmentProblem& problem,
+                                  std::vector<std::size_t> assignment,
+                                  const std::vector<std::size_t>& pairs) {
+  const std::size_t servers = problem.num_servers();
+  const std::size_t resources = problem.num_resources();
+  AssignmentSolution solution;
+  solution.assignment = std::move(assignment);
+  solution.powered_on.assign(servers, 0);
+  for (std::size_t j = 0; j < servers; ++j) solution.powered_on[j] = problem.initially_on(j) ? 1 : 0;
+  // validate()'s checks on a powered-on-as-used answer: every placed app
+  // on one of its pairs (Eq. 2), and capacities respected (Eq. 1).
+  bool valid = true;
+  std::vector<double> load(servers * resources, 0.0);
+  double total = 0.0;
+  for (std::size_t i = 0; i < problem.num_apps(); ++i) {
+    const std::size_t j = solution.assignment[i];
+    if (j == kUnassigned) {
+      ++solution.unassigned_count;
+      continue;
+    }
+    const std::size_t pair = pairs[i];
+    if (pair == kNoPair) valid = false;
+    if (j >= servers) continue;
+    total += pair == kNoPair ? kInfinity : problem.cost(pair);
+    if (!solution.powered_on[j]) {
+      solution.powered_on[j] = 1;
+      total += problem.activation_cost(j);
+    }
+    if (pair == kNoPair) continue;
+    for (std::size_t k = 0; k < resources; ++k) load[j * resources + k] += problem.demand(pair, k);
+  }
+  for (std::size_t j = 0; j < servers; ++j) {
+    for (std::size_t k = 0; k < resources; ++k) {
+      if (load[j * resources + k] > problem.capacity(j, k) + 1e-6) valid = false;
+    }
+  }
+  solution.total_cost = total;
+  solution.feasible = solution.unassigned_count == 0 && valid;
+  return solution;
+}
+
 }  // namespace
 
 AssignmentProblem::AssignmentProblem(std::size_t num_apps, std::size_t num_servers,
@@ -119,32 +163,13 @@ void AssignmentProblem::set_initially_on(std::size_t server, bool on) {
 
 AssignmentSolution evaluate(const AssignmentProblem& problem,
                             const std::vector<std::size_t>& assignment) {
-  AssignmentSolution solution;
-  solution.assignment = assignment;
-  solution.assignment.resize(problem.num_apps(), kUnassigned);
-  solution.powered_on.assign(problem.num_servers(), 0);
-  for (std::size_t j = 0; j < problem.num_servers(); ++j) {
-    solution.powered_on[j] = problem.initially_on(j) ? 1 : 0;
-  }
-  double total = 0.0;
-  solution.unassigned_count = 0;
+  std::vector<std::size_t> padded = assignment;
+  padded.resize(problem.num_apps(), kUnassigned);
+  std::vector<std::size_t> pairs(problem.num_apps(), kNoPair);
   for (std::size_t i = 0; i < problem.num_apps(); ++i) {
-    const std::size_t j = solution.assignment[i];
-    if (j == kUnassigned) {
-      ++solution.unassigned_count;
-      continue;
-    }
-    if (j >= problem.num_servers()) continue;  // validate() below rejects it
-    const std::size_t pair = problem.find(i, j);
-    total += pair == kNoPair ? kInfinity : problem.cost(pair);
-    if (!solution.powered_on[j]) {
-      solution.powered_on[j] = 1;
-      total += problem.activation_cost(j);
-    }
+    if (padded[i] != kUnassigned) pairs[i] = problem.find(i, padded[i]);
   }
-  solution.total_cost = total;
-  solution.feasible = solution.unassigned_count == 0 && validate(problem, solution);
-  return solution;
+  return evaluate_pairs(problem, std::move(padded), pairs);
 }
 
 bool validate(const AssignmentProblem& problem, const AssignmentSolution& solution, double tol) {
@@ -383,7 +408,7 @@ AssignmentSolution solve_greedy(const AssignmentProblem& problem) {
   const std::size_t apps = problem.num_apps();
   GreedyState state(problem);
   const ColumnIndex columns(problem);
-  std::vector<std::size_t> assignment(apps, kUnassigned);
+  std::vector<std::size_t> placed(apps, kNoPair);  // each app's committed pair
 
   // Per app, the two cheapest effective costs among its pairs that still
   // fit, and the pair of the cheapest (the first in row order on a tie).
@@ -396,8 +421,10 @@ AssignmentSolution solve_greedy(const AssignmentProblem& problem) {
   const auto rescan = [&](std::size_t i) {
     Options o;
     for (const std::size_t p : problem.row(i)) {
-      if (!state.fits(problem, p)) continue;
+      // A pair no cheaper than the second option changes neither, so its
+      // fit is tested only when it could.
       const double c = state.effective_cost(problem, p);
+      if (c >= o.second || !state.fits(problem, p)) continue;
       if (c < o.best) {
         o.second = o.best;
         o.best = c;
@@ -443,13 +470,13 @@ AssignmentSolution solve_greedy(const AssignmentProblem& problem) {
 
     const std::size_t j = problem.server(pick_pair);
     const bool was_on = state.planned_on[j] != 0;
-    assignment[pick] = j;
+    placed[pick] = pick_pair;
     state.commit(problem, pick_pair);
     // A pair's fit and effective cost depend on its own server only, so
     // only apps in j's column can see their options change.
     for (const ColumnIndex::Entry& entry : columns.column(j)) {
       const Options& o = options[entry.app];
-      if (assignment[entry.app] != kUnassigned || o.best_pair == kNoPair) continue;
+      if (placed[entry.app] != kNoPair || o.best_pair == kNoPair) continue;
       if (!was_on) {
         // Powering j on lowered the cost of every pair on it.
         rescan(entry.app);
@@ -458,11 +485,15 @@ AssignmentSolution solve_greedy(const AssignmentProblem& problem) {
       // j's costs are unchanged and its capacity only shrank: the options
       // change only if a pair stopped fitting that was the best or could
       // have been the second.
-      if (state.fits(problem, entry.pair)) continue;
-      if (entry.pair == o.best_pair || problem.cost(entry.pair) <= o.second) rescan(entry.app);
+      const bool counted = entry.pair == o.best_pair || problem.cost(entry.pair) <= o.second;
+      if (counted && !state.fits(problem, entry.pair)) rescan(entry.app);
     }
   }
-  AssignmentSolution solution = evaluate(problem, assignment);
+  std::vector<std::size_t> assignment(apps, kUnassigned);
+  for (std::size_t i = 0; i < apps; ++i) {
+    if (placed[i] != kNoPair) assignment[i] = problem.server(placed[i]);
+  }
+  AssignmentSolution solution = evaluate_pairs(problem, std::move(assignment), placed);
   solution.stats.components = 1;
   solution.stats.heuristic_shards = 1;
   return solution;
@@ -512,25 +543,8 @@ std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSol
     return true;
   };
 
-  // Swap targets: a's pairs spread over a server-indexed scratch, and the
-  // pairs on a's current server spread over an app-indexed one, filled
-  // from that server's column and re-filled only when the server changes.
   const ColumnIndex columns(problem);
   std::vector<std::size_t> pair_of_a(servers, kNoPair);
-  std::vector<std::size_t> pair_on_sa(apps, kNoPair);
-  std::size_t filled_server = kUnassigned;
-  const auto fill_pairs_on = [&](std::size_t server) {
-    if (server == filled_server) return;
-    if (filled_server != kUnassigned) {
-      for (const ColumnIndex::Entry& entry : columns.column(filled_server)) {
-        pair_on_sa[entry.app] = kNoPair;
-      }
-    }
-    for (const ColumnIndex::Entry& entry : columns.column(server)) {
-      pair_on_sa[entry.app] = entry.pair;
-    }
-    filled_server = server;
-  };
   std::size_t improvements = 0;
   for (std::size_t round = 0; round < max_rounds; ++round) {
     bool improved = false;
@@ -542,13 +556,13 @@ std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSol
       if (current[i] == kNoPair) continue;
       for (const std::size_t to : problem.row(i)) {
         const std::size_t from = current[i];
-        if (to == from || !fits_after(to, kNoPair)) continue;
+        if (to == from) continue;
         const std::size_t from_server = problem.server(from);
         const std::size_t to_server = problem.server(to);
         const double delta = problem.cost(to) - problem.cost(from) +
                              activation_delta_gain(to_server) -
                              activation_delta_release(from_server);
-        if (delta < -1e-9) {
+        if (delta < -1e-9 && fits_after(to, kNoPair)) {
           for (std::size_t k = 0; k < resources; ++k) {
             load[from_server * resources + k] -= problem.demand(from, k);
             load[to_server * resources + k] += problem.demand(to, k);
@@ -563,36 +577,48 @@ std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSol
       }
     }
 
-    // Pairwise swaps. App a's pair is re-read for every b — after an
-    // applied swap, later candidates must see its new server.
+    // Pairwise swaps of a with every later app b. A swap needs b to have a
+    // pair on a's server, so b walks that server's column in ascending app
+    // order; a's row is spread over a server-indexed scratch so its
+    // targets are one lookup. After an applied swap a sits on b's server,
+    // and the walk goes on past b in that server's column.
     for (std::size_t a = 0; a < apps; ++a) {
       if (current[a] == kNoPair) continue;
       for (const std::size_t p : problem.row(a)) pair_of_a[problem.server(p)] = p;
-      for (std::size_t b = a + 1; b < apps; ++b) {
+      std::size_t last_b = a;
+      for (bool moved = true; moved;) {
+        moved = false;
         const std::size_t pa = current[a];
-        const std::size_t pb = current[b];
-        if (pb == kNoPair) continue;
         const std::size_t sa = problem.server(pa);
-        const std::size_t sb = problem.server(pb);
-        const std::size_t a_to = pair_of_a[sb];
-        if (sb == sa || a_to == kNoPair) continue;
-        fill_pairs_on(sa);
-        const std::size_t b_to = pair_on_sa[b];
-        if (b_to == kNoPair) continue;
-        if (!fits_after(a_to, pb) || !fits_after(b_to, pa)) continue;
-        const double delta =
-            problem.cost(a_to) + problem.cost(b_to) - problem.cost(pa) - problem.cost(pb);
-        if (delta < -1e-9) {
-          for (std::size_t k = 0; k < resources; ++k) {
-            load[sa * resources + k] += problem.demand(b_to, k) - problem.demand(pa, k);
-            load[sb * resources + k] += problem.demand(a_to, k) - problem.demand(pb, k);
+        const auto column = columns.column(sa);
+        auto entry = std::upper_bound(
+            column.begin(), column.end(), last_b,
+            [](std::size_t app, const ColumnIndex::Entry& e) { return app < e.app; });
+        for (; entry != column.end(); ++entry) {
+          const std::size_t b = entry->app;
+          const std::size_t pb = current[b];
+          if (pb == kNoPair) continue;
+          const std::size_t sb = problem.server(pb);
+          const std::size_t a_to = pair_of_a[sb];
+          if (sb == sa || a_to == kNoPair) continue;
+          const std::size_t b_to = entry->pair;
+          const double delta =
+              problem.cost(a_to) + problem.cost(b_to) - problem.cost(pa) - problem.cost(pb);
+          if (delta < -1e-9 && fits_after(a_to, pb) && fits_after(b_to, pa)) {
+            for (std::size_t k = 0; k < resources; ++k) {
+              load[sa * resources + k] += problem.demand(b_to, k) - problem.demand(pa, k);
+              load[sb * resources + k] += problem.demand(a_to, k) - problem.demand(pb, k);
+            }
+            solution.assignment[a] = sb;
+            solution.assignment[b] = sa;
+            current[a] = a_to;
+            current[b] = b_to;
+            improved = true;
+            ++improvements;
+            last_b = b;
+            moved = true;
+            break;
           }
-          solution.assignment[a] = sb;
-          solution.assignment[b] = sa;
-          current[a] = a_to;
-          current[b] = b_to;
-          improved = true;
-          ++improvements;
         }
       }
       for (const std::size_t p : problem.row(a)) pair_of_a[problem.server(p)] = kNoPair;
@@ -601,7 +627,7 @@ std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSol
     if (!improved) break;
   }
 
-  AssignmentSolution refreshed = evaluate(problem, solution.assignment);
+  AssignmentSolution refreshed = evaluate_pairs(problem, std::move(solution.assignment), current);
   refreshed.stats = solution.stats;  // improvement does not change the path taken
   solution = std::move(refreshed);
   return improvements;
