@@ -66,22 +66,38 @@ obs::Phase& milp_phase() {
   return phase;
 }
 
+// Eq. 1: every server's load, summed in app order over the apps' pairs
+// (kNoPair: none), within its capacity plus tol.
+bool capacities_hold(const AssignmentProblem& problem, const std::vector<std::size_t>& pairs,
+                     double tol) {
+  const std::size_t resources = problem.num_resources();
+  std::vector<double> load(problem.num_servers() * resources, 0.0);
+  for (const std::size_t pair : pairs) {
+    if (pair == kNoPair) continue;
+    const std::size_t j = problem.server(pair);
+    for (std::size_t k = 0; k < resources; ++k) load[j * resources + k] += problem.demand(pair, k);
+  }
+  for (std::size_t j = 0; j < problem.num_servers(); ++j) {
+    for (std::size_t k = 0; k < resources; ++k) {
+      if (load[j * resources + k] > problem.capacity(j, k) + tol) return false;
+    }
+  }
+  return true;
+}
+
 // evaluate() given each app's pair as well: kNoPair for an app that is
 // unassigned or sits on a server it has no pair with. The heuristics know
 // their pairs, so only evaluate() itself looks them up.
 AssignmentSolution evaluate_pairs(const AssignmentProblem& problem,
                                   std::vector<std::size_t> assignment,
                                   const std::vector<std::size_t>& pairs) {
-  const std::size_t servers = problem.num_servers();
-  const std::size_t resources = problem.num_resources();
   AssignmentSolution solution;
   solution.assignment = std::move(assignment);
-  solution.powered_on.assign(servers, 0);
-  for (std::size_t j = 0; j < servers; ++j) solution.powered_on[j] = problem.initially_on(j) ? 1 : 0;
-  // validate()'s checks on a powered-on-as-used answer: every placed app
-  // on one of its pairs (Eq. 2), and capacities respected (Eq. 1).
-  bool valid = true;
-  std::vector<double> load(servers * resources, 0.0);
+  solution.powered_on.assign(problem.num_servers(), 0);
+  for (std::size_t j = 0; j < problem.num_servers(); ++j) {
+    solution.powered_on[j] = problem.initially_on(j) ? 1 : 0;
+  }
+  bool on_pairs = true;  // validate()'s Eq. 2 check
   double total = 0.0;
   for (std::size_t i = 0; i < problem.num_apps(); ++i) {
     const std::size_t j = solution.assignment[i];
@@ -89,24 +105,18 @@ AssignmentSolution evaluate_pairs(const AssignmentProblem& problem,
       ++solution.unassigned_count;
       continue;
     }
-    const std::size_t pair = pairs[i];
-    if (pair == kNoPair) valid = false;
-    if (j >= servers) continue;
-    total += pair == kNoPair ? kInfinity : problem.cost(pair);
+    on_pairs = on_pairs && pairs[i] != kNoPair;
+    if (j >= problem.num_servers()) continue;
+    total += pairs[i] == kNoPair ? kInfinity : problem.cost(pairs[i]);
     if (!solution.powered_on[j]) {
       solution.powered_on[j] = 1;
       total += problem.activation_cost(j);
     }
-    if (pair == kNoPair) continue;
-    for (std::size_t k = 0; k < resources; ++k) load[j * resources + k] += problem.demand(pair, k);
-  }
-  for (std::size_t j = 0; j < servers; ++j) {
-    for (std::size_t k = 0; k < resources; ++k) {
-      if (load[j * resources + k] > problem.capacity(j, k) + 1e-6) valid = false;
-    }
   }
   solution.total_cost = total;
-  solution.feasible = solution.unassigned_count == 0 && valid;
+  // Every used server is powered on, so validate()'s Eq. 4-5 checks hold.
+  solution.feasible =
+      solution.unassigned_count == 0 && on_pairs && capacities_hold(problem, pairs, 1e-6);
   return solution;
 }
 
@@ -176,27 +186,19 @@ bool validate(const AssignmentProblem& problem, const AssignmentSolution& soluti
   if (solution.assignment.size() != problem.num_apps()) return false;
   const bool has_power = !solution.powered_on.empty();
   if (has_power && solution.powered_on.size() != problem.num_servers()) return false;
-  std::vector<double> load(problem.num_servers() * problem.num_resources(), 0.0);
+  std::vector<std::size_t> pairs(problem.num_apps(), kNoPair);
   for (std::size_t i = 0; i < problem.num_apps(); ++i) {
     const std::size_t j = solution.assignment[i];
     if (j == kUnassigned) continue;
-    const std::size_t pair = problem.find(i, j);
-    if (pair == kNoPair) return false;  // out of range, or Eq. 2 (latency) filtered
+    pairs[i] = problem.find(i, j);
+    if (pairs[i] == kNoPair) return false;  // out of range, or Eq. 2 (latency) filtered
     if (has_power && !solution.powered_on[j]) return false;  // Eq. 5
-    for (std::size_t k = 0; k < problem.num_resources(); ++k) {
-      load[j * problem.num_resources() + k] += problem.demand(pair, k);
-    }
   }
   for (std::size_t j = 0; j < problem.num_servers(); ++j) {
     // Eq. 4: initially-on servers stay on.
     if (has_power && problem.initially_on(j) && !solution.powered_on[j]) return false;
-    for (std::size_t k = 0; k < problem.num_resources(); ++k) {
-      if (load[j * problem.num_resources() + k] > problem.capacity(j, k) + tol) {
-        return false;  // Eq. 1
-      }
-    }
   }
-  return true;
+  return capacities_hold(problem, pairs, tol);
 }
 
 // ---------------------------------------------------------------------------
